@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -149,6 +150,9 @@ def resolve_config(cli_values: dict, config_file: str | Path | None = None,
     unknown = set(merged) - set(DEFAULTS)
     if unknown:
         raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+    for key in sorted(_FLOAT_KEYS | _OPTIONAL_FLOAT_KEYS):
+        if merged[key] is not None and not math.isfinite(merged[key]):
+            raise ParameterError(f"{key} must be finite, got {merged[key]!r}")
     if merged["method"] not in ("series", "quadrature"):
         raise ParameterError(f"method must be 'series' or 'quadrature', got {merged['method']!r}")
     if not merged["tau_min"] < merged["tau_max"]:

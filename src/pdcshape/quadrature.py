@@ -6,9 +6,16 @@ The amplitude is evaluated as the frequency integral
                            e^{i depth cos(mod_frequency (omega0/2 - nu))}
 
 over a truncated symmetric window, by a composite trapezoid rule whose point
-count doubles until two successive estimates agree.  Nothing here uses the
-Bessel expansion, so agreement with the series path is a genuine two-route
-check of the closed form, including the sign structure of its exponent.
+count doubles until two successive estimates agree.  The levels are nested:
+the first coarse estimate sums the even nodes, and every finer estimate is
+half the previous one plus the new odd midpoints, so each node is weighted
+and summed once.  The sum over m equally spaced nodes is factored exactly
+into blocks of L = isqrt(m), exp(i tau nu_j) = exp(i tau nu_block)
+exp(i tau r step), which costs about 2 sqrt(m) complex exponentials per delay
+plus one small matrix product, in place of m exponentials; it holds for any
+tau grid.  Nothing here uses the Bessel expansion, so agreement with the
+series path is a genuine two-route check of the closed form, including the
+sign structure of its exponent.
 """
 
 from __future__ import annotations
@@ -115,6 +122,31 @@ def _required_intervals(nu_max: float, taus: np.ndarray, filt: CosinePhaseFilter
     return n + (n % 2)  # even interval counts nest under halving
 
 
+def _phase_sum(taus: np.ndarray, start: float, step: float,
+               weights: np.ndarray) -> np.ndarray:
+    """sum_j weights[j] exp(i tau (start + j step)) for every tau.
+
+    The m nodes are split into blocks of L = isqrt(m), j = b L + r, and
+    exp(i tau nu_j) = exp(i tau (start + b L step)) exp(i tau r step) exactly,
+    so a delay needs about 2 sqrt(m) complex exponentials and the weighted
+    sum is one (delays x blocks) @ (blocks x L) product.
+    """
+    m = weights.size
+    L = math.isqrt(m)
+    blocks = -(-m // L)
+    W = np.zeros(blocks * L, dtype=complex)
+    W[:m] = weights
+    W = W.reshape(blocks, L)
+    block_nus = start + (step * L) * np.arange(blocks)
+    offset_nus = step * np.arange(L)
+    out = np.empty(taus.size, dtype=complex)
+    for lo in range(0, taus.size, _TAU_CHUNK):
+        t = taus[lo:lo + _TAU_CHUNK, None]
+        R = np.exp(1j * t * block_nus) @ W
+        out[lo:lo + _TAU_CHUNK] = np.sum(R * np.exp(1j * t * offset_nus), axis=1)
+    return out
+
+
 def _amplitude_grid(params: PhysicalParams, filt: CosinePhaseFilter, taus: np.ndarray,
                     settings: QuadratureSettings,
                     phases: GlobalPhaseLedger | None = None
@@ -139,28 +171,26 @@ def _amplitude_grid(params: PhysicalParams, filt: CosinePhaseFilter, taus: np.nd
             f"resolving the integrand needs {n} intervals, over the budget of "
             f"{settings.max_points}; raise max_points or shrink the tau window")
 
-    history: list[float] = []
-    while True:
-        nus = np.linspace(-nu_max, nu_max, n + 1)
+    def node_weights(start: float, step: float, count: int) -> np.ndarray:
+        nus = start + step * np.arange(count)
         w = np.exp(-(0.5 * T * nus) ** 2
                    + 1j * filt.depth * np.cos(filt.mod_frequency * (0.5 * omega0 - nus)))
         if phases is not None:
             w = w * phases.factor(omega0)
-        h = 2.0 * nu_max / n
-        wt_fine = w * h
-        wt_fine[0] *= 0.5
-        wt_fine[-1] *= 0.5
-        wt_coarse = w[::2] * (2.0 * h)
-        wt_coarse[0] *= 0.5
-        wt_coarse[-1] *= 0.5
+        return w
 
-        fine = np.empty(taus.size, dtype=complex)
-        coarse = np.empty(taus.size, dtype=complex)
-        for lo in range(0, taus.size, _TAU_CHUNK):
-            hi = min(lo + _TAU_CHUNK, taus.size)
-            phase = np.exp(1j * taus[lo:hi, None] * nus[None, :])
-            fine[lo:hi] = phase @ wt_fine
-            coarse[lo:hi] = phase[:, ::2] @ wt_coarse
+    # nested trapezoid levels: the coarse estimate comes from the even nodes,
+    # and each level adds only its odd midpoints to half the previous sum
+    h = 2.0 * nu_max / n
+    w_even = node_weights(-nu_max, 2.0 * h, n_coarse + 1)
+    w_even[0] *= 0.5
+    w_even[-1] *= 0.5
+    coarse = (2.0 * h) * _phase_sum(taus, -nu_max, 2.0 * h, w_even)
+
+    history: list[float] = []
+    while True:
+        w_odd = node_weights(-nu_max + h, 2.0 * h, n // 2)
+        fine = 0.5 * coarse + h * _phase_sum(taus, -nu_max + h, 2.0 * h, w_odd)
 
         diff = np.abs(fine - coarse)
         rel = diff / np.maximum(np.abs(fine), scale_floor)
@@ -173,7 +203,9 @@ def _amplitude_grid(params: PhysicalParams, filt: CosinePhaseFilter, taus: np.nd
             raise ConvergenceError(
                 f"no convergence at {n} intervals (budget {settings.max_points}): "
                 f"last estimates {complex(coarse[k])} vs {complex(fine[k])} at tau={taus[k]} fs")
+        coarse = fine
         n *= 2
+        h *= 0.5
 
 
 @lru_cache(maxsize=64)

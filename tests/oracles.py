@@ -1,13 +1,19 @@
 """Independent reference computations used by the tests.
 
 Everything here is deliberately naive: direct power series in 40-digit
-arithmetic, no recurrences, no Jacobi-Anger identity, so agreement with the
-package is a real cross-check rather than the same algorithm twice.
+arithmetic, no recurrences, no Jacobi-Anger identity, and a dense
+node-by-node trapezoid sum with no factorization and no level reuse, so
+agreement with the package is a real cross-check rather than the same
+algorithm twice.
 """
 
 from __future__ import annotations
 
 import mpmath
+import numpy as np
+
+from pdcshape import characteristic_time, pump_angular_frequency
+from pdcshape.quadrature import nu_halfwidth
 
 _DPS = 40
 
@@ -25,3 +31,18 @@ def series_bessel_j(m: int, x: float) -> float:
             if abs(term) < mpmath.mpf("1e-45") * max(1, abs(total)):
                 break
         return float(total)
+
+
+def dense_trapezoid(params, filt, taus, intervals: int, settings) -> np.ndarray:
+    """Raw trapezoid sum_j w_j exp(i tau nu_j) over intervals + 1 nodes, one
+    complex exponential per (tau, node) pair."""
+    T = characteristic_time(params)
+    omega0 = pump_angular_frequency(params)
+    nu_max = nu_halfwidth(params, settings)
+    nus = np.linspace(-nu_max, nu_max, intervals + 1)
+    w = np.exp(-(0.5 * T * nus) ** 2
+               + 1j * filt.depth * np.cos(filt.mod_frequency * (0.5 * omega0 - nus)))
+    w *= 2.0 * nu_max / intervals
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return np.array([np.exp(1j * tau * nus) @ w for tau in np.asarray(taus, dtype=float)])

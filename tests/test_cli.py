@@ -51,6 +51,12 @@ class TestConfigResolution:
         with pytest.raises(ParameterError):
             resolve_config({"theta_deg": 0.0})
 
+    def test_non_finite_config_value_rejected(self, tmp_path):
+        f = tmp_path / "run.cfg"
+        f.write_text("search_halfwidth = inf\n")
+        with pytest.raises(ParameterError, match="search_halfwidth must be finite"):
+            resolve_config({}, f)
+
     def test_metadata_lists_every_key(self):
         cfg = resolve_config({})
         meta = cfg.metadata()
@@ -191,6 +197,12 @@ class TestExitCodes:
                             lambda *a, **k: DeviationReport(1.0, 0.0))
         assert main(["validate", "--out", str(tmp_path / "v.csv")]) == 3
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_usage_error_on_non_finite_flag(self, tmp_path, capsys, value):
+        assert main(["sweep-beta", f"--beta-step={value}",
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: beta_step must be finite")
+
     def test_io_error_exit_code(self, tmp_path):
         missing = tmp_path / "no" / "such" / "dir" / "out.csv"
         assert main(["curve", "--points", "3", "--out", str(missing)]) == 4
@@ -201,6 +213,15 @@ class TestExitCodes:
         assert main(["curve", "--method", "quadrature", "--points", "5",
                      "--tau-min", "-100000", "--tau-max", "100000",
                      "--config", str(f), "--out", str(tmp_path / "x.csv")]) == 5
+
+    def test_nonconvergence_exit_code_at_rounding_limited_pump(self, tmp_path, capsys):
+        # at 1e-9 nm the filter phase argument is ~1e10 rad, so rounding noise
+        # keeps successive levels apart until the 2**20 budget runs out
+        assert main(["validate", "--lambda-nm", "1e-9",
+                     "--out", str(tmp_path / "v.csv")]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: no convergence at 1048576 intervals")
+        assert err.count("\n") == 1
 
 
 class TestDeterminism:

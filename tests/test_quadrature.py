@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import dense_trapezoid
 from pdcshape import (
     ConvergenceError,
     CosinePhaseFilter,
@@ -18,6 +21,7 @@ from pdcshape import (
     rate_grid,
     truncation_for,
 )
+from pdcshape.quadrature import _amplitude_grid
 
 
 class TestIntegrand:
@@ -80,6 +84,28 @@ class TestCompareMethods:
         assert grid[0] <= -(m * 300.0 + 5 * T) + 10.0
         assert np.all(np.diff(grid) == 10.0)
         assert 0.0 in grid
+
+
+class TestFactorizedSum:
+    @given(taus=st.lists(st.floats(min_value=-4e4, max_value=4e4, allow_nan=False),
+                         min_size=1, max_size=8),
+           depth=st.floats(min_value=0.0, max_value=10.0),
+           mod_frequency=st.floats(min_value=0.0, max_value=1000.0),
+           initial_points=st.sampled_from([64, 1024]))
+    @example(taus=[0.0], depth=2.0, mod_frequency=50.0, initial_points=1024)
+    @example(taus=[-4e4], depth=10.0, mod_frequency=1000.0, initial_points=64)
+    @example(taus=[4e4, 0.0, -1.5, 333.3], depth=0.0, mod_frequency=0.0,
+             initial_points=64)
+    @settings(max_examples=25, deadline=None)
+    def test_matches_dense_sum(self, params, T, taus, depth, mod_frequency,
+                               initial_points):
+        # any delay grid: unsorted, non-uniform, single points and tau = 0
+        filt = CosinePhaseFilter(depth, mod_frequency)
+        quad = QuadratureSettings(initial_points=initial_points)
+        values, _, n, _ = _amplitude_grid(params, filt, np.array(taus), quad)
+        dense = dense_trapezoid(params, filt, taus, n, quad)
+        scale_floor = 2.0 * math.sqrt(math.pi) / T
+        assert np.max(np.abs(values - dense)) <= 1e-13 * scale_floor
 
 
 class TestConvergence:
