@@ -12,7 +12,7 @@ from .analysis import (
     sweep_beta,
     total_coincidence_integral,
 )
-from .bessel import BesselTable, bessel_j, bessel_j_table
+from .bessel import BesselTable, bessel_j_table
 from .errors import (
     ConvergenceError,
     InsufficientDataError,
@@ -26,7 +26,6 @@ from .model import (
     LIGHT_SPEED_DEFAULT,
     CorrelationCurve,
     CosinePhaseFilter,
-    GlobalPhaseLedger,
     PhysicalParams,
     SeriesTruncation,
     amplitude_series,
@@ -45,8 +44,6 @@ from .quadrature import (
     amplitude_quadrature,
     compare_methods,
     comparison_grid,
-    integrand,
-    phase_mismatch_linearized,
     rate_grid,
 )
 

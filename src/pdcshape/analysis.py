@@ -27,6 +27,12 @@ from .model import (
 )
 
 _RATE_TIE = 1e-12  # rates closer than this are treated as tied
+# Size caps checked before anything is allocated.  The coarse peak scan peaks
+# at about 32 B per delay x series order (~540 MB at the cap); fig2 scans
+# 8,361 x 31 cells and `tau-max --alpha 2 --beta 1000` 65,177 x 31.  fig2
+# sweeps 501 modulation frequencies.
+_MAX_SCAN_CELLS = 2**24
+_MAX_SWEEP_STEPS = 100_000
 
 
 @dataclass
@@ -102,6 +108,12 @@ def find_tau_max(params: PhysicalParams, filt: CosinePhaseFilter,
                             + 5.0 * characteristic_time(params))
     if search_halfwidth <= grid_step:
         raise ParameterError("search_halfwidth must exceed grid_step")
+    scan_cells = (2.0 * search_halfwidth / grid_step + 1.0) * (2 * trunc.max_order + 1)
+    if scan_cells > _MAX_SCAN_CELLS:
+        raise ParameterError(
+            f"the peak scan over +-{search_halfwidth:g} fs in {grid_step:g} fs steps needs "
+            f"{scan_cells:.3g} delay x order cells, over the cap of {_MAX_SCAN_CELLS}; "
+            "shrink the search window")
 
     n = math.ceil(search_halfwidth / grid_step)
     taus = np.arange(-n, n + 1) * grid_step
@@ -150,7 +162,12 @@ def sweep_beta(params: PhysicalParams, alpha: float, beta_start: float,
         raise ParameterError("need 0 <= beta_start < beta_end")
     if beta_step <= 0:
         raise ParameterError("beta_step must be > 0")
-    count = int(math.floor((beta_end - beta_start) / beta_step + 1e-9)) + 1
+    steps = (beta_end - beta_start) / beta_step
+    if not steps < _MAX_SWEEP_STEPS:
+        raise ParameterError(
+            f"a sweep from {beta_start:g} to {beta_end:g} fs in {beta_step:g} fs steps "
+            f"needs over {_MAX_SWEEP_STEPS} points; raise beta_step")
+    count = int(math.floor(steps + 1e-9)) + 1
     betas = beta_start + np.arange(count) * beta_step
     # the cutoff depends only on depth, so compute it once for the whole sweep
     trunc = truncation_for(CosinePhaseFilter(alpha, 0.0), trunc_tol)

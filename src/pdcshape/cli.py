@@ -23,7 +23,7 @@ from .errors import (
     SearchError,
     WindowError,
 )
-from .model import CosinePhaseFilter, sample_curve, truncation_for
+from .model import _METHODS, CorrelationCurve, CosinePhaseFilter, sample_curve, truncation_for
 from .quadrature import (
     VALIDATION_DEPTHS,
     VALIDATION_MOD_FREQUENCIES,
@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--tau-min", type=float, dest="tau_min", help="delay grid start, fs")
     r.add_argument("--tau-max", type=float, dest="tau_max", help="delay grid end, fs")
     r.add_argument("--points", type=int, help="delay grid point count")
-    r.add_argument("--method", choices=("series", "quadrature"), help="rate evaluation route")
+    r.add_argument("--method", choices=_METHODS, help="rate evaluation route")
     r.add_argument("--beta-start", type=float, dest="beta_start", help="sweep start, fs")
     r.add_argument("--beta-end", type=float, dest="beta_end", help="sweep end, fs")
     r.add_argument("--beta-step", type=float, dest="beta_step", help="sweep step, fs")
@@ -98,18 +98,18 @@ def _out_path(cfg: RunConfig, command: str) -> Path:
     return cfg.out if cfg.out is not None else Path(f"{command}.csv")
 
 
-def _curve_columns(cfg: RunConfig, depths, beta: float,
-                   label: str) -> list[tuple[str, np.ndarray]]:
+def _sample(cfg: RunConfig, filt: CosinePhaseFilter, grid: np.ndarray) -> CorrelationCurve:
+    """The rate curve over grid by cfg.method, with cfg's cutoff and quadrature policy."""
+    return sample_curve(cfg.params, filt, grid, method=cfg.method,
+                        trunc=truncation_for(filt, cfg.trunc_tol), settings=cfg.quad)
+
+
+def _curve_columns(cfg: RunConfig,
+                   labelled: list[tuple[str, CosinePhaseFilter]]) -> list[tuple[str, np.ndarray]]:
+    """A tau_fs column, then one rate column per (label, filter)."""
     grid = cfg.tau_grid()
-    cols: list[tuple[str, np.ndarray]] = [("tau_fs", grid)]
-    for a in depths:
-        curve = sample_curve(cfg.params, CosinePhaseFilter(float(a), beta), grid,
-                             method=cfg.method,
-                             trunc=truncation_for(CosinePhaseFilter(float(a), beta),
-                                                  cfg.trunc_tol),
-                             settings=cfg.quad)
-        cols.append((label.format(a=f"{a:g}"), curve.rates))
-    return cols
+    return [("tau_fs", grid)] + [(label, _sample(cfg, filt, grid).rates)
+                                 for label, filt in labelled]
 
 
 def run_command(cfg: RunConfig, command: str) -> int:
@@ -125,11 +125,7 @@ def run_command(cfg: RunConfig, command: str) -> int:
             print(f"{k} = {_meta_str(meta[k])}")
 
     elif command == "curve":
-        grid = cfg.tau_grid()
-        curve = sample_curve(cfg.params, cfg.pair_filter(), grid, method=cfg.method,
-                             trunc=truncation_for(cfg.pair_filter(), cfg.trunc_tol),
-                             settings=cfg.quad)
-        write_csv(out, meta, [("tau_fs", grid), ("rate", curve.rates)])
+        write_csv(out, meta, _curve_columns(cfg, [("rate", cfg.pair_filter())]))
 
     elif command == "tau-max":
         res = analysis.find_tau_max(cfg.params, cfg.pair_filter(),
@@ -151,10 +147,7 @@ def run_command(cfg: RunConfig, command: str) -> int:
                               ("rate_at_max", sweep.rates)])
 
     elif command == "lobes":
-        grid = cfg.tau_grid()
-        curve = sample_curve(cfg.params, cfg.pair_filter(), grid, method=cfg.method,
-                             trunc=truncation_for(cfg.pair_filter(), cfg.trunc_tol),
-                             settings=cfg.quad)
+        curve = _sample(cfg, cfg.pair_filter(), cfg.tau_grid())
         report = analysis.detect_lobes(curve, cfg.min_lobe_height)
         write_csv(out, meta,
                   [("center_fs", np.array([l.center for l in report.lobes])),
@@ -191,23 +184,17 @@ def run_command(cfg: RunConfig, command: str) -> int:
             meta_b["alpha"] = "0,2,10"
             meta_b["beta"] = b
             path = out.with_name(f"{out.stem}_beta{b:g}{out.suffix}")
-            write_csv(path, meta_b,
-                      _curve_columns(cfg, (0.0, 2.0, 10.0), b, "rate_alpha{a}"))
+            write_csv(path, meta_b, _curve_columns(
+                cfg, [(f"rate_alpha{a:g}", CosinePhaseFilter(a, b)) for a in (0.0, 2.0, 10.0)]))
             print(f"wrote {path}")
         return EXIT_OK
 
     elif command == "fig4":
-        grid = cfg.tau_grid()
-        cols: list[tuple[str, np.ndarray]] = [("tau_fs", grid)]
-        for b in (50.0, 300.0, 1000.0):
-            filt = CosinePhaseFilter(cfg.alpha, b)
-            curve = sample_curve(cfg.params, filt, grid, method=cfg.method,
-                                 trunc=truncation_for(filt, cfg.trunc_tol),
-                                 settings=cfg.quad)
-            cols.append((f"rate_beta{b:g}", curve.rates))
         meta_4 = dict(meta)
         meta_4["beta"] = "50,300,1000"
-        write_csv(out, meta_4, cols)
+        write_csv(out, meta_4, _curve_columns(
+            cfg, [(f"rate_beta{b:g}", CosinePhaseFilter(cfg.alpha, b))
+                  for b in (50.0, 300.0, 1000.0)]))
 
     else:  # pragma: no cover - argparse restricts the choices
         raise ParameterError(f"unknown command {command!r}")

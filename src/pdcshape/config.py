@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParameterError
-from .model import CosinePhaseFilter, PhysicalParams
+from .model import _METHODS, CosinePhaseFilter, PhysicalParams
 from .quadrature import QuadratureSettings
 
 # Built-in defaults.  Physical values are the bundled preset source:
@@ -153,8 +153,8 @@ def resolve_config(cli_values: dict, config_file: str | Path | None = None,
     for key in sorted(_FLOAT_KEYS | _OPTIONAL_FLOAT_KEYS):
         if merged[key] is not None and not math.isfinite(merged[key]):
             raise ParameterError(f"{key} must be finite, got {merged[key]!r}")
-    if merged["method"] not in ("series", "quadrature"):
-        raise ParameterError(f"method must be 'series' or 'quadrature', got {merged['method']!r}")
+    if merged["method"] not in _METHODS:
+        raise ParameterError(f"method must be one of {_METHODS}, got {merged['method']!r}")
     if not merged["tau_min"] < merged["tau_max"]:
         raise ParameterError("tau_min must be less than tau_max")
     if merged["points"] < 2:

@@ -46,7 +46,6 @@ class PhysicalParams:
     group_velocity       m/s, common signal/idler group velocity u
     beam_param           um, pump transverse Gaussian parameter (beam radius is beam_param/sqrt(2))
     emission_angle       degrees, common signal/idler emission angle, 0 < angle < 90
-    crystal_half_length  mm, optional; only the longitudinal mismatch check looks at it
     light_speed          m/s
     """
 
@@ -54,7 +53,6 @@ class PhysicalParams:
     group_velocity: float
     beam_param: float
     emission_angle: float
-    crystal_half_length: float | None = None
     light_speed: float = LIGHT_SPEED_DEFAULT
 
     def __post_init__(self) -> None:
@@ -72,11 +70,6 @@ class PhysicalParams:
         if not 0 < self.emission_angle < 90:
             # angle -> 0 makes the correlation time diverge
             raise ParameterError("emission_angle must be strictly between 0 and 90 degrees")
-        if self.crystal_half_length is not None:
-            chl = _require_finite("crystal_half_length", self.crystal_half_length)
-            if chl <= 0:
-                raise ParameterError("crystal_half_length must be > 0 when given")
-            object.__setattr__(self, "crystal_half_length", chl)
 
 
 #: Parameter set used throughout the bundled presets.
@@ -123,37 +116,6 @@ class SeriesTruncation:
     def __post_init__(self) -> None:
         if self.max_order < 0:
             raise ParameterError("max_order must be >= 0")
-
-
-@dataclass(frozen=True)
-class GlobalPhaseLedger:
-    """Constant unit-modulus factors dropped from the amplitude before |.|^2.
-
-    The dropped factors are exp(-i*(omega0/2)*(t1+t2)) from the detection
-    times and exp(i*(k1.r1 + k2.r2)) from the phase-matched propagation, with
-    the detectors placed symmetrically (r1 = r2, so the frequency-dependent
-    (nu/u)*(r1 - r2) leg vanishes).  Dropping them cannot change |A|^2; the
-    quadrature path can re-apply them to assert exactly that.
-
-    detection_time_sum   fs, t1 + t2
-    path_phase           rad, k1.r1 + k2.r2 accumulated along the matched paths
-    detector_separation  fs-equivalent path difference r1 - r2; fixed 0 here
-    """
-
-    detection_time_sum: float = 0.0
-    path_phase: float = 0.0
-    detector_separation: float = 0.0
-
-    def __post_init__(self) -> None:
-        _require_finite("detection_time_sum", self.detection_time_sum)
-        _require_finite("path_phase", self.path_phase)
-        if self.detector_separation != 0.0:
-            raise ParameterError("detector_separation is fixed at 0 (symmetric detectors)")
-
-    def factor(self, pump_omega: float) -> complex:
-        """The dropped constant, |factor| = 1 and independent of tau and nu."""
-        return complex(np.exp(1j * (self.path_phase
-                                    - 0.5 * pump_omega * self.detection_time_sum)))
 
 
 def characteristic_time(params: PhysicalParams) -> float:

@@ -29,7 +29,6 @@ import numpy as np
 from .errors import ConvergenceError, ParameterError
 from .model import (
     CosinePhaseFilter,
-    GlobalPhaseLedger,
     PhysicalParams,
     SeriesTruncation,
     characteristic_time,
@@ -100,18 +99,6 @@ def nu_halfwidth(params: PhysicalParams, settings: QuadratureSettings = DEFAULT_
     return 2.0 * settings.halfwidth_folds / characteristic_time(params)
 
 
-def integrand(params: PhysicalParams, filt: CosinePhaseFilter, nu: float, tau: float,
-              phases: GlobalPhaseLedger | None = None) -> complex:
-    """One integrand value at frequency detuning nu (rad/fs) and delay tau (fs)."""
-    T = characteristic_time(params)
-    omega0 = pump_angular_frequency(params)
-    val = np.exp(1j * nu * tau - (0.5 * T * nu) ** 2
-                 + 1j * filt.depth * np.cos(filt.mod_frequency * (0.5 * omega0 - nu)))
-    if phases is not None:
-        val = val * phases.factor(omega0)
-    return complex(val)
-
-
 def _required_intervals(nu_max: float, taus: np.ndarray, filt: CosinePhaseFilter,
                         settings: QuadratureSettings) -> int:
     # Resolution guard: the coarse level must already sample the fastest
@@ -149,7 +136,6 @@ def _phase_sum(taus: np.ndarray, start: float, step: float,
 
 def _amplitude_grid(params: PhysicalParams, filt: CosinePhaseFilter, taus: np.ndarray,
                     settings: QuadratureSettings,
-                    phases: GlobalPhaseLedger | None = None
                     ) -> tuple[np.ndarray, np.ndarray, int, tuple[float, ...]]:
     """Raw (unnormalized) amplitudes over a tau grid, refined to tolerance.
 
@@ -173,11 +159,8 @@ def _amplitude_grid(params: PhysicalParams, filt: CosinePhaseFilter, taus: np.nd
 
     def node_weights(start: float, step: float, count: int) -> np.ndarray:
         nus = start + step * np.arange(count)
-        w = np.exp(-(0.5 * T * nus) ** 2
-                   + 1j * filt.depth * np.cos(filt.mod_frequency * (0.5 * omega0 - nus)))
-        if phases is not None:
-            w = w * phases.factor(omega0)
-        return w
+        return np.exp(-(0.5 * T * nus) ** 2
+                      + 1j * filt.depth * np.cos(filt.mod_frequency * (0.5 * omega0 - nus)))
 
     # nested trapezoid levels: the coarse estimate comes from the even nodes,
     # and each level adds only its odd midpoints to half the previous sum
@@ -217,15 +200,14 @@ def _baseline_raw(params: PhysicalParams, settings: QuadratureSettings) -> compl
 
 
 def amplitude_quadrature(params: PhysicalParams, filt: CosinePhaseFilter, tau: float,
-                         settings: QuadratureSettings = DEFAULT_SETTINGS,
-                         phases: GlobalPhaseLedger | None = None) -> QuadratureResult:
+                         settings: QuadratureSettings = DEFAULT_SETTINGS) -> QuadratureResult:
     """Normalized amplitude at one delay, by adaptive point doubling.
 
     The raw integral is divided by the depth-0, tau=0 integral computed with
     the same rule, so the series and quadrature routes share one baseline.
     """
     values, diffs, n, history = _amplitude_grid(params, filt, np.array([float(tau)]),
-                                                settings, phases)
+                                                settings)
     base = _baseline_raw(params, settings)
     return QuadratureResult(value=complex(values[0] / base),
                             error_estimate=float(diffs[0] / abs(base)),
@@ -233,39 +215,16 @@ def amplitude_quadrature(params: PhysicalParams, filt: CosinePhaseFilter, tau: f
 
 
 def rate_grid(params: PhysicalParams, filt: CosinePhaseFilter, tau_grid,
-              settings: QuadratureSettings | None = None,
-              phases: GlobalPhaseLedger | None = None) -> np.ndarray:
+              settings: QuadratureSettings | None = None) -> np.ndarray:
     """Normalized rates |A|^2 over a tau grid, one refinement for the whole grid."""
     if settings is None:
         settings = DEFAULT_SETTINGS
     taus = np.asarray(tau_grid, dtype=float)
     if taus.size == 0:
         raise ParameterError("tau_grid must be non-empty")
-    values, _, _, _ = _amplitude_grid(params, filt, taus, settings, phases)
+    values, _, _, _ = _amplitude_grid(params, filt, taus, settings)
     base = _baseline_raw(params, settings)
     return np.abs(values / base) ** 2
-
-
-def phase_mismatch_linearized(params: PhysicalParams, nu: float) -> float:
-    """Longitudinal mismatch k0 - k1 cos(theta) - k2 cos(theta), in rad/mm.
-
-    Under the linearized degenerate expansion k1 = k* + nu/u, k2 = k* - nu/u
-    with exact matching k0 = 2 k* cos(theta), the nu/u legs cancel at equal
-    emission angles, so the mismatch vanishes for every nu and the
-    finite-crystal sinc factor is a constant.  The cancellation is evaluated
-    coefficient by coefficient (the magnitude of k* is irrelevant to it and
-    would otherwise need a dispersion model), so the returned value is an
-    exact 0.0 rather than a rounding residue.
-    """
-    nu = float(nu)
-    if not math.isfinite(nu):
-        raise ParameterError("nu must be finite")
-    cos_t = math.cos(math.radians(params.emission_angle))
-    kstar_coeff = 2.0 * cos_t - cos_t - cos_t  # exact 0.0 in floating point
-    u_mm_per_fs = params.group_velocity * 1e-12
-    nu_coeff = (1.0 / u_mm_per_fs - 1.0 / u_mm_per_fs) * cos_t  # exact 0.0
-    kstar_mag = 0.5 * pump_angular_frequency(params) / (params.light_speed * 1e-12)
-    return kstar_coeff * kstar_mag + nu_coeff * nu
 
 
 def comparison_grid(params: PhysicalParams, filt: CosinePhaseFilter,

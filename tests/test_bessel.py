@@ -6,7 +6,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import series_bessel_j
-from pdcshape import ParameterError, bessel_j, bessel_j_table
+from pdcshape import (
+    CosinePhaseFilter,
+    ParameterError,
+    SeriesTruncation,
+    bessel_j_table,
+    series_coefficients,
+)
+
+
+def signed_orders(x: float, m_max: int) -> dict[int, float]:
+    """J_m(x) for m = -m_max..m_max as the series amplitude applies them.
+
+    At zero modulation frequency its coefficients are exactly i^m J_m(x), so
+    multiplying by i^-m recovers the signed values.
+    """
+    orders, coeff = series_coefficients(CosinePhaseFilter(x, 0.0),
+                                         SeriesTruncation(m_max), 1.0)
+    j = coeff * np.array([1.0, -1.0j, -1.0, 1.0j])[np.mod(orders, 4)]
+    assert np.all(j.imag == 0.0)
+    return dict(zip(orders.tolist(), j.real.tolist()))
 
 
 def test_zero_argument_table_is_exact():
@@ -33,10 +52,13 @@ def test_recurrence_identity_at_two():
 
 
 def test_negative_order_parity():
-    assert bessel_j(-1, 2.0) == pytest.approx(-0.576725, abs=1e-6)
-    assert bessel_j(-1, 2.0) == -bessel_j(1, 2.0)
-    assert bessel_j(0, 0.0) == 1.0
-    assert bessel_j(5, 0.0) == 0.0
+    j = signed_orders(2.0, 1)
+    assert j[-1] == pytest.approx(-0.576725, abs=1e-6)
+    assert j[-1] == -j[1]
+    j = signed_orders(0.0, 5)
+    assert j[0] == 1.0
+    assert j[5] == 0.0
+    assert j[-5] == 0.0
 
 
 @pytest.mark.parametrize("x", [0.0, 1e-9, 0.3, 1.0, 2.0, 5.0, 9.7, 14.0, 20.0])
@@ -69,7 +91,8 @@ def test_high_order_small_argument_does_not_overflow():
        x=st.floats(min_value=0.0, max_value=20.0, allow_nan=False))
 @settings(max_examples=60, deadline=None)
 def test_parity_is_exact(m, x):
-    assert bessel_j(-m, x) == (-1.0) ** m * bessel_j(m, x)
+    j = signed_orders(x, 40)
+    assert j[-m] == (-1.0) ** m * j[m]
 
 
 @given(x=st.floats(min_value=0.0, max_value=20.0, allow_nan=False))

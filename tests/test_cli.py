@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,6 +203,26 @@ class TestExitCodes:
         assert main(["sweep-beta", f"--beta-step={value}",
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err.startswith("error: beta_step must be finite")
+
+    @pytest.mark.parametrize("argv,message", [
+        # 5 fs in 1e-300 fs steps
+        (["sweep-beta", "--beta-step", "1e-300"],
+         "error: a sweep from 48 to 53 fs in 1e-300 fs steps"),
+        # the default window at beta = 1e6 fs spans +-1.5e7 fs: ~6e7 delays x 31 orders
+        (["tau-max", "--beta", "1e6"], "error: the peak scan over"),
+    ], ids=["sweep-beta", "tau-max"])
+    def test_usage_error_on_oversized_work(self, tmp_path, capsys, argv, message):
+        tracemalloc.start()
+        try:
+            code = main(argv + ["--out", str(tmp_path / "x.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 10_000_000  # refused before anything large is allocated
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert err.count("\n") == 1
 
     def test_io_error_exit_code(self, tmp_path):
         missing = tmp_path / "no" / "such" / "dir" / "out.csv"

@@ -18,6 +18,7 @@ from pdcshape import (
     series_coefficients,
     truncation_for,
 )
+from pdcshape.quadrature import VALIDATION_DEPTHS
 
 depths = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
 mod_freqs = st.floats(min_value=0.0, max_value=1000.0, allow_nan=False)
@@ -26,7 +27,6 @@ mod_freqs = st.floats(min_value=0.0, max_value=1000.0, allow_nan=False)
 class TestPhysicalParams:
     def test_defaults_are_valid(self, params):
         assert params.pump_wavelength == 350.0
-        assert params.crystal_half_length is None
 
     @pytest.mark.parametrize("kwargs", [
         dict(pump_wavelength=-350.0),
@@ -36,7 +36,6 @@ class TestPhysicalParams:
         dict(beam_param=0.0),
         dict(emission_angle=0.0),
         dict(emission_angle=90.0),
-        dict(crystal_half_length=-1.0),
     ])
     def test_invalid_values_rejected(self, kwargs):
         base = dict(pump_wavelength=350.0, group_velocity=2e8,
@@ -111,6 +110,10 @@ class TestTruncation:
         m2 = truncation_for(CosinePhaseFilter(2.0, 0.0)).max_order
         m10 = truncation_for(CosinePhaseFilter(10.0, 0.0)).max_order
         assert m10 > m2
+
+    @pytest.mark.parametrize("depth,order", zip(VALIDATION_DEPTHS, (0, 12, 15, 22, 31)))
+    def test_validation_depth_orders_are_pinned(self, depth, order):
+        assert truncation_for(CosinePhaseFilter(depth, 0.0)).max_order == order
 
     def test_bad_tolerance_rejected(self):
         with pytest.raises(ParameterError):

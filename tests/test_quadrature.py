@@ -9,33 +9,17 @@ from oracles import dense_trapezoid
 from pdcshape import (
     ConvergenceError,
     CosinePhaseFilter,
-    GlobalPhaseLedger,
     ParameterError,
     QuadratureSettings,
     amplitude_quadrature,
     amplitude_series,
     compare_methods,
     comparison_grid,
-    integrand,
-    phase_mismatch_linearized,
+    pump_angular_frequency,
     rate_grid,
     truncation_for,
 )
-from pdcshape.quadrature import _amplitude_grid
-
-
-class TestIntegrand:
-    def test_all_factors_unity(self, params, no_filter):
-        assert integrand(params, no_filter, 0.0, 0.0) == 1.0 + 0.0j
-
-    def test_constant_filter_phase(self, params):
-        # cos(0) = 1, Gaussian = 1, delay factor = 1
-        val = integrand(params, CosinePhaseFilter(2.0, 0.0), 0.0, 123.4)
-        assert val == pytest.approx(complex(np.cos(2.0), np.sin(2.0)), abs=1e-15)
-
-    def test_gaussian_factor_at_unit_argument(self, params, no_filter, T):
-        val = integrand(params, no_filter, 2.0 / T, 0.0)
-        assert val == pytest.approx(np.exp(-1.0) + 0.0j, abs=1e-15)
+from pdcshape.quadrature import DEFAULT_SETTINGS, _amplitude_grid, _baseline_raw
 
 
 class TestAmplitude:
@@ -148,36 +132,17 @@ class TestGlobalPhase:
            path=st.floats(min_value=-10, max_value=10, allow_nan=False))
     @settings(max_examples=15, deadline=None)
     def test_dropped_factors_cannot_change_rates(self, params, t_sum, path):
+        # the amplitude drops the constant exp(i (k1.r1 + k2.r2 - omega0 (t1 + t2) / 2))
+        # of symmetrically placed detectors; restoring it leaves |A|^2 unchanged
         filt = CosinePhaseFilter(2.0, 50.0)
-        ledger = GlobalPhaseLedger(detection_time_sum=t_sum, path_phase=path)
         grid = np.linspace(-200.0, 200.0, 9)
-        plain = rate_grid(params, filt, grid)
-        toggled = rate_grid(params, filt, grid, phases=ledger)
+        values, _, _, _ = _amplitude_grid(params, filt, grid, DEFAULT_SETTINGS)
+        values = values / _baseline_raw(params, DEFAULT_SETTINGS)
+        factor = np.exp(1j * (path - 0.5 * pump_angular_frequency(params) * t_sum))
+        assert abs(factor) == pytest.approx(1.0, abs=1e-15)
+        plain = np.abs(values) ** 2
+        toggled = np.abs(factor * values) ** 2
         assert np.max(np.abs(plain - toggled)) <= 1e-12
-
-    def test_factor_is_unit_modulus(self, params):
-        from pdcshape import pump_angular_frequency
-
-        ledger = GlobalPhaseLedger(detection_time_sum=77.0, path_phase=1.3)
-        assert abs(ledger.factor(pump_angular_frequency(params))) == pytest.approx(
-            1.0, abs=1e-15)
-
-    def test_nonzero_detector_separation_rejected(self):
-        with pytest.raises(ParameterError):
-            GlobalPhaseLedger(detector_separation=1.0)
-
-
-class TestPhaseMismatch:
-    @pytest.mark.parametrize("nu", [0.0, 0.02, -0.02])
-    def test_identically_zero(self, params, nu):
-        assert phase_mismatch_linearized(params, nu) == 0.0
-
-    def test_zero_for_any_angle(self):
-        from pdcshape import PhysicalParams
-
-        for theta in (5.0, 37.0, 81.0):
-            p = PhysicalParams(350.0, 2e8, 100.0, theta, crystal_half_length=1.5)
-            assert phase_mismatch_linearized(p, 0.013) == 0.0
 
 
 class TestQuadratureCurve:
