@@ -16,6 +16,7 @@ from .errors import (
     WindowError,
 )
 from .model import (
+    _MAX_COMB_CELLS,
     CorrelationCurve,
     CosinePhaseFilter,
     PhysicalParams,
@@ -27,11 +28,9 @@ from .model import (
 )
 
 _RATE_TIE = 1e-12  # rates closer than this are treated as tied
-# Size caps checked before anything is allocated.  The coarse peak scan peaks
-# at about 32 B per delay x series order (~540 MB at the cap); fig2 scans
-# 8,361 x 31 cells and `tau-max --alpha 2 --beta 1000` 65,177 x 31.  fig2
-# sweeps 501 modulation frequencies.
-_MAX_SCAN_CELLS = 2**24
+# Checked before anything is allocated; the coarse peak scan is held to the
+# model's delay x order cap (`tau-max --alpha 2 --beta 1000` scans 65,177 x 31
+# cells).  fig2 sweeps 501 modulation frequencies.
 _MAX_SWEEP_STEPS = 100_000
 
 
@@ -109,10 +108,10 @@ def find_tau_max(params: PhysicalParams, filt: CosinePhaseFilter,
     if search_halfwidth <= grid_step:
         raise ParameterError("search_halfwidth must exceed grid_step")
     scan_cells = (2.0 * search_halfwidth / grid_step + 1.0) * (2 * trunc.max_order + 1)
-    if scan_cells > _MAX_SCAN_CELLS:
+    if scan_cells > _MAX_COMB_CELLS:
         raise ParameterError(
             f"the peak scan over +-{search_halfwidth:g} fs in {grid_step:g} fs steps needs "
-            f"{scan_cells:.3g} delay x order cells, over the cap of {_MAX_SCAN_CELLS}; "
+            f"{scan_cells:.3g} delay x order cells, over the cap of {_MAX_COMB_CELLS}; "
             "shrink the search window")
 
     n = math.ceil(search_halfwidth / grid_step)

@@ -46,10 +46,6 @@ _PRESETS: dict[str, dict] = {
     "fig4": {"alpha": 2.0, "tau_min": -3500.0, "tau_max": 3500.0, "points": 14001},
 }
 
-_FLAG_KEYS = ("alpha", "beta", "tau_min", "tau_max", "points", "method",
-              "beta_start", "beta_end", "beta_step", "out",
-              "lambda_nm", "u", "eps_perp_um", "theta_deg", "light_speed")
-
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -95,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _out_path(cfg: RunConfig, command: str) -> Path:
-    return cfg.out if cfg.out is not None else Path(f"{command}.csv")
+    return Path(cfg.out) if cfg.out is not None else Path(f"{command}.csv")
 
 
 def _sample(cfg: RunConfig, filt: CosinePhaseFilter, grid: np.ndarray) -> CorrelationCurve:
@@ -209,11 +205,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    cli_values = {key: getattr(args, key) for key in _FLAG_KEYS}
-    if cli_values.get("out") is not None:
-        cli_values["out"] = str(cli_values["out"])
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     try:
-        cfg = resolve_config(cli_values, args.config, _PRESETS.get(args.command))
+        cfg = resolve_config(flags, args.config, _PRESETS.get(args.command))
         return run_command(cfg, args.command)
     except (ParameterError, SearchError, ResolutionError, WindowError,
             InsufficientDataError) as exc:

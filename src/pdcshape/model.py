@@ -30,6 +30,11 @@ LIGHT_SPEED_DEFAULT = 3.0e8  # m/s, pinned round value; override via PhysicalPar
 
 _METHODS = ("series", "quadrature")
 
+# Cap on delay x series order cells, checked before a comb or peak scan is
+# allocated (about 32 B a cell at peak, ~540 MB at the cap).  fig4 and fig3
+# evaluate 14,001 and 2,401 delays x at most 63 orders, and fig2 scans 8,361 x 31.
+_MAX_COMB_CELLS = 2**24
+
 
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
@@ -254,6 +259,12 @@ def sample_curve(params: PhysicalParams, filt: CosinePhaseFilter, tau_grid,
     if method == "series":
         if trunc is None:
             trunc = truncation_for(filt)
+        orders = 2 * trunc.max_order + 1
+        if tau_grid.size * orders > _MAX_COMB_CELLS:
+            raise ParameterError(
+                f"the curve over {tau_grid.size} delays x {orders} series orders needs "
+                f"{tau_grid.size * orders:.3g} cells, over the cap of {_MAX_COMB_CELLS}; "
+                "use fewer points")
         rates = count_rate(params, filt, trunc, tau_grid)
     else:
         from .quadrature import rate_grid  # deferred: quadrature imports this module

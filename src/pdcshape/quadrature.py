@@ -101,12 +101,21 @@ def nu_halfwidth(params: PhysicalParams, settings: QuadratureSettings = DEFAULT_
 
 def _required_intervals(nu_max: float, taus: np.ndarray, filt: CosinePhaseFilter,
                         settings: QuadratureSettings) -> int:
+    """Coarse interval count; ConvergenceError if its first refinement is over budget."""
     # Resolution guard: the coarse level must already sample the fastest
     # e^{i nu tau} / filter oscillation, or the doubling check can lie.
     fastest = max(float(np.max(np.abs(taus))) if taus.size else 0.0, filt.mod_frequency)
     guard = 40.0 * nu_max * fastest / (2.0 * math.pi)
-    n = max(settings.initial_points, int(math.floor(guard)) + 1)
-    return n + (n % 2)  # even interval counts nest under halving
+    need = 2.0 * guard
+    if guard < settings.max_points:  # false for inf and NaN, which int() cannot take
+        n = max(settings.initial_points, int(math.floor(guard)) + 1)
+        n += n % 2  # even interval counts nest under halving
+        if 2 * n <= settings.max_points:
+            return n
+        need = 2 * n
+    raise ConvergenceError(
+        f"resolving the integrand needs {need:.3g} intervals, over the budget of "
+        f"{settings.max_points}; raise max_points or shrink the tau window")
 
 
 def _phase_sum(taus: np.ndarray, start: float, step: float,
@@ -152,10 +161,6 @@ def _amplitude_grid(params: PhysicalParams, filt: CosinePhaseFilter, taus: np.nd
 
     n_coarse = _required_intervals(nu_max, taus, filt, settings)
     n = 2 * n_coarse
-    if n > settings.max_points:
-        raise ConvergenceError(
-            f"resolving the integrand needs {n} intervals, over the budget of "
-            f"{settings.max_points}; raise max_points or shrink the tau window")
 
     def node_weights(start: float, step: float, count: int) -> np.ndarray:
         nus = start + step * np.arange(count)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pdcshape import ParameterError
-from pdcshape.cli import main
+from pdcshape.cli import _PRESETS, main
 from pdcshape.config import DEFAULTS, read_config_file, resolve_config
 from pdcshape.csvio import format_number, render_csv
 from pdcshape.quadrature import DeviationReport
@@ -63,6 +63,30 @@ class TestConfigResolution:
         meta = cfg.metadata()
         for key in set(DEFAULTS) - {"out"}:
             assert key in meta
+
+    def test_precedence_flag_over_preset_over_file(self, tmp_path):
+        f = tmp_path / "run.cfg"
+        f.write_text("alpha = 3\npoints = 50\nbeta = 60\n")
+        cfg = resolve_config({"points": 101}, f, _PRESETS["fig4"])
+        assert cfg.alpha == 2.0  # preset over file
+        assert cfg.points == 101  # flag over preset
+        assert cfg.beta == 60.0  # file over default
+        assert cfg.tau_max == 3500.0
+
+    @pytest.mark.parametrize("command", ["params", "curve"])
+    def test_csv_header_resolves_to_the_same_settings(self, tmp_path, command):
+        f = tmp_path / "run.cfg"
+        f.write_text("search_halfwidth = 123.5\nquad_max_points = 2097152\n")
+        argv = [command, "--points", "5", "--u", "1.9999e8", "--config", str(f)]
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        header = [ln[2:] for ln in read_lines(out)
+                  if ln.startswith("# ") and not ln.startswith("# command = ")]
+        assert len(header) == len(DEFAULTS) - 1  # every key but out
+        again = tmp_path / "header.cfg"
+        again.write_text("\n".join(header) + "\n")
+        expected = resolve_config({"points": 5, "u": 1.9999e8}, f).metadata()
+        assert resolve_config({}, again).metadata() == expected
 
 
 class TestCsvFormat:
@@ -210,7 +234,10 @@ class TestExitCodes:
          "error: a sweep from 48 to 53 fs in 1e-300 fs steps"),
         # the default window at beta = 1e6 fs spans +-1.5e7 fs: ~6e7 delays x 31 orders
         (["tau-max", "--beta", "1e6"], "error: the peak scan over"),
-    ], ids=["sweep-beta", "tau-max"])
+        (["curve", "--points", "100000000000000000000"], "error: points must be <="),
+        # 1e6 delays x 63 series orders at depth 10
+        (["curve", "--alpha", "10", "--points", "1000000"], "error: the curve over"),
+    ], ids=["sweep-beta", "tau-max", "curve-points", "curve-cells"])
     def test_usage_error_on_oversized_work(self, tmp_path, capsys, argv, message):
         tracemalloc.start()
         try:
@@ -220,6 +247,19 @@ class TestExitCodes:
             tracemalloc.stop()
         assert code == 2
         assert peak < 10_000_000  # refused before anything large is allocated
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags,code,message", [
+        (["--beta", "1e308"], 5, "error: resolving the integrand needs inf intervals"),
+        (["--tau-max", "1e308"], 5, "error: resolving the integrand needs inf intervals"),
+        (["--tau-min=-1e308", "--tau-max", "1e308"], 2,
+         "error: tau_max - tau_min must be finite"),
+    ], ids=["beta", "tau-max", "tau-span"])
+    def test_quadrature_overflow_refused(self, tmp_path, capsys, flags, code, message):
+        assert main(["curve", "--method", "quadrature", "--points", "3", *flags,
+                     "--out", str(tmp_path / "x.csv")]) == code
         err = capsys.readouterr().err
         assert err.startswith(message)
         assert err.count("\n") == 1
