@@ -11,6 +11,10 @@ from pathlib import Path
 
 import numpy as np
 
+# Rows formatted per batch, so that only this many rows of Python values exist
+# at once and a render's peak memory does not grow.
+_ROW_CHUNK = 1024
+
 
 def format_number(value) -> str:
     if isinstance(value, str):
@@ -36,8 +40,12 @@ def render_csv(metadata: dict, columns: list[tuple[str, np.ndarray]]) -> str:
         for name, values in columns:
             if len(values) != n_rows:
                 raise ValueError(f"column {name!r} length {len(values)} != {n_rows}")
-        for i in range(n_rows):
-            lines.append(",".join(format_number(values[i]) for _, values in columns))
+        # format_number's choice made once per column, one string operation per row
+        arrays = [np.asarray(values) for _, values in columns]
+        row = ",".join("%.8e" if a.dtype.kind == "f" else "%s" for a in arrays)
+        for lo in range(0, n_rows, _ROW_CHUNK):
+            chunk = zip(*(a[lo:lo + _ROW_CHUNK].tolist() for a in arrays))
+            lines.extend(row % r for r in chunk)
     return "\n".join(lines) + "\n"
 
 

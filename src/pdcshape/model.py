@@ -32,7 +32,8 @@ _METHODS = ("series", "quadrature")
 
 # Cap on delay x series order cells, checked before a comb or peak scan is
 # allocated (about 32 B a cell at peak, ~540 MB at the cap).  fig4 and fig3
-# evaluate 14,001 and 2,401 delays x at most 63 orders, and fig2 scans 8,361 x 31.
+# evaluate 14,001 and 2,401 delays x at most 63 orders, and fig2's peak-search
+# grid holds 8,361 x 31.  The quadrature's interval budget shares this cap.
 _MAX_COMB_CELLS = 2**24
 
 

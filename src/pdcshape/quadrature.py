@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import ConvergenceError, ParameterError
 from .model import (
+    _MAX_COMB_CELLS,
     CosinePhaseFilter,
     PhysicalParams,
     SeriesTruncation,
@@ -69,6 +70,10 @@ class QuadratureSettings:
             raise ParameterError("initial_points must be >= 64")
         if self.max_points < self.initial_points:
             raise ParameterError("max_points must be >= initial_points")
+        # the same memory cap: the last level's node arrays take about 32 B
+        # an interval at peak
+        if self.max_points > _MAX_COMB_CELLS:
+            raise ParameterError(f"max_points must be <= {_MAX_COMB_CELLS}")
         if not 0 < self.rel_tolerance <= 1e-6:
             raise ParameterError("rel_tolerance must be in (0, 1e-6]")
 

@@ -1,10 +1,10 @@
 """Independent reference computations used by the tests.
 
 Everything here is deliberately naive: direct power series in 40-digit
-arithmetic, no recurrences, no Jacobi-Anger identity, and a dense
-node-by-node trapezoid sum with no factorization and no level reuse, so
-agreement with the package is a real cross-check rather than the same
-algorithm twice.
+arithmetic, no recurrences, no Jacobi-Anger identity, a dense node-by-node
+trapezoid sum with no factorization and no level reuse, and a peak scan that
+evaluates every grid delay, so agreement with the package is a real
+cross-check rather than the same algorithm twice.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ from __future__ import annotations
 import mpmath
 import numpy as np
 
-from pdcshape import characteristic_time, pump_angular_frequency
+from pdcshape import characteristic_time, count_rate, pump_angular_frequency
+from pdcshape.analysis import _best_index
 from pdcshape.quadrature import nu_halfwidth
 
 _DPS = 40
@@ -46,3 +47,9 @@ def dense_trapezoid(params, filt, taus, intervals: int, settings) -> np.ndarray:
     w[0] *= 0.5
     w[-1] *= 0.5
     return np.array([np.exp(1j * tau * nus) @ w for tau in np.asarray(taus, dtype=float)])
+
+
+def dense_peak_scan(params, filt, trunc, n: int, grid_step: float) -> int:
+    """The k in [-n, n] that _best_index picks from the rate at every k*grid_step."""
+    taus = np.arange(-n, n + 1) * grid_step
+    return _best_index(taus, np.asarray(count_rate(params, filt, trunc, taus))) - n

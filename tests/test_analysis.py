@@ -1,7 +1,13 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import uniform_grid
+from oracles import dense_peak_scan
 from pdcshape import (
     CosinePhaseFilter,
     InsufficientDataError,
@@ -17,7 +23,10 @@ from pdcshape import (
     sample_curve,
     sweep_beta,
     total_coincidence_integral,
+    truncation_for,
 )
+from pdcshape import analysis
+from pdcshape.analysis import _scan_peak
 
 J2 = [0.2238907791, 0.5767248078, 0.3528340286]  # J_0..J_2 at depth 2
 
@@ -70,6 +79,76 @@ class TestFindTauMax:
         coarse = find_tau_max(params, filt, grid_step=0.5, refine_tol=0.005)
         fine = find_tau_max(params, filt, grid_step=0.25, refine_tol=0.005)
         assert abs(coarse.tau_max - fine.tau_max) < 0.005
+
+
+class TestPrunedScan:
+    """The pruned peak scan picks the grid point of the dense scan, ties included."""
+
+    @staticmethod
+    def picks(params, T, filt, grid_step, search_halfwidth=None):
+        trunc = truncation_for(filt)
+        if search_halfwidth is None:
+            search_halfwidth = trunc.max_order * filt.mod_frequency + 5.0 * T
+        n = math.ceil(search_halfwidth / grid_step)
+        dense = dense_peak_scan(params, filt, trunc, n, grid_step)
+        assert _scan_peak(params, filt, trunc, n, grid_step) == dense
+        return dense, n
+
+    @settings(max_examples=30, deadline=None)
+    @given(depth=st.floats(0.0, 10.0), beta=st.floats(0.0, 1000.0),
+           grid_step=st.sampled_from([0.25, 0.5, 1.0]))
+    def test_same_bracket_as_dense_scan(self, params, T, depth, beta, grid_step):
+        filt = CosinePhaseFilter(depth, beta)
+        k, n = self.picks(params, T, filt, grid_step)
+        assert abs(k) < n  # the default window holds every lobe
+        res = find_tau_max(params, filt, grid_step=grid_step)
+        assert abs(res.tau_max - k * grid_step) <= grid_step
+
+    @pytest.mark.parametrize("depth,beta,halfwidth,tau", [
+        (0.0, 50.0, None, 0.0),  # the unfiltered Gaussian
+        (2.0, 0.0, None, 0.0),  # no modulation: the depth only scales the Gaussian
+        # lobes m = +-1 at +-5000 fs overlap by e^-373, so their equal peaks
+        # tie and the negative one wins
+        (2.0, 5000.0, None, -5000.0),
+        # the +1000 fs lobe beats the -1000 fs one by 1.9e-7 and sits one step
+        # inside the window, in the shorter last gap of the coarse grid
+        (2.0, 1000.0, 1000.5, 1000.0),
+        # the window ends on the rising flank toward +1000 fs: find_tau_max
+        # raises on this pick (TestFindTauMax::test_window_clipping_raises)
+        (2.0, 1000.0, 800.0, 800.0),
+    ], ids=["depth-0", "beta-0", "symmetric-tie", "short-last-gap", "window-edge"])
+    def test_explicit_picks(self, params, T, depth, beta, halfwidth, tau):
+        k, _ = self.picks(params, T, CosinePhaseFilter(depth, beta), 0.5, halfwidth)
+        assert k * 0.5 == tau
+
+    @pytest.mark.parametrize("grid_step,halfwidth", [(1e-308, 1e-307), (1e-300, 1e-299),
+                                                     (1e-6, 1e-3)])
+    def test_fine_grid_allocates_no_more_than_the_grid(self, params, T, grid_step,
+                                                        halfwidth):
+        # T / (8 grid_step) would be a coarse step far wider than the window
+        tracemalloc.start()
+        try:
+            self.picks(params, T, CosinePhaseFilter(2.0, 50.0), grid_step, halfwidth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000
+
+    def test_large_depth_keeps_result_and_evaluates_no_more(self, params, T, monkeypatch):
+        # at depth 10 the curvature bound rules out little: every gap is filled
+        sizes = []
+        original = analysis.count_rate
+
+        def counting(*args):
+            sizes.append(np.size(args[3]))
+            return original(*args)
+
+        monkeypatch.setattr(analysis, "count_rate", counting)  # not the oracle's
+        filt = CosinePhaseFilter(10.0, 1000.0)
+        k, n = self.picks(params, T, filt, 0.5)
+        assert sum(sizes) <= 2 * n + 1
+        res = find_tau_max(params, filt)
+        assert abs(res.tau_max - k * 0.5) <= 0.5
 
 
 class TestSweep:

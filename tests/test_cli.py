@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pdcshape import ParameterError
+from pdcshape import ParameterError, csvio
 from pdcshape.cli import _PRESETS, main
 from pdcshape.config import DEFAULTS, read_config_file, resolve_config
 from pdcshape.csvio import format_number, render_csv
@@ -100,6 +100,21 @@ class TestCsvFormat:
         cols = [("x", np.array([1.0, 2.0])), ("y", np.array([3.0, 4.0]))]
         assert render_csv(meta, cols) == render_csv(meta, cols)
         assert render_csv(meta, cols).startswith("# a = 1.0\n# b = 2.0\nx,y\n")
+
+    def test_float_rows_render_like_format_number(self):
+        # row-at-a-time rendering against format_number value by value, across
+        # row chunks, with float, int and str columns
+        rng = np.random.default_rng(3)
+        n = csvio._ROW_CHUNK + 7
+        a = rng.normal(size=n) * 10.0 ** rng.integers(-40, 40, size=n)
+        a[:6] = [0.0, -0.0, 5e-324, -2.5e-310, 1e-31, -1.234567894e-31]
+        b = np.sort(rng.uniform(-3500.0, 3500.0, size=n))
+        b[-3:] = [np.float64(2.2250738585072014e-308), 1e-31 / 3, -0.0]
+        cols = [("x", a), ("y", b), ("z", b.astype(np.float32)), ("k", np.arange(n)),
+                ("s", [f"v{i}" for i in range(n)])]
+        expected = ["x,y,z,k,s"] + [",".join(format_number(c[i]) for _, c in cols)
+                                    for i in range(n)]
+        assert render_csv({}, cols) == "\n".join(expected) + "\n"
 
     def test_lf_endings_only(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -263,6 +278,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(message)
         assert err.count("\n") == 1
+
+    def test_usage_error_on_huge_quadrature_budget(self, tmp_path, capsys):
+        f = tmp_path / "budget.cfg"
+        f.write_text("quad_max_points = 1" + "0" * 400 + "\n")
+        assert main(["curve", "--method", "quadrature", "--points", "3",
+                     "--tau-max", "1e300", "--config", str(f),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: max_points must be <= 16777216\n"
 
     def test_io_error_exit_code(self, tmp_path):
         missing = tmp_path / "no" / "such" / "dir" / "out.csv"
