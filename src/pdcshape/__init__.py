@@ -5,7 +5,6 @@ from .analysis import (
     LobeReport,
     SweepResult,
     TauMaxResult,
-    alpha_family,
     detect_lobes,
     find_tau_max,
     oscillation_period,
@@ -31,7 +30,6 @@ from .model import (
     amplitude_series,
     characteristic_time,
     count_rate,
-    filter_phase,
     pump_angular_frequency,
     sample_curve,
     series_coefficients,

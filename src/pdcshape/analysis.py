@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks, peak_prominences
 
 from .bessel import bessel_j_table
 from .errors import (
@@ -24,7 +23,6 @@ from .model import (
     SeriesTruncation,
     characteristic_time,
     count_rate,
-    sample_curve,
     truncation_for,
 )
 
@@ -246,11 +244,42 @@ def oscillation_period(sweep: SweepResult) -> float:
     return float(np.mean(spacings))
 
 
-def alpha_family(params: PhysicalParams, beta: float, alphas, tau_grid,
-                 method: str = "series") -> list[CorrelationCurve]:
-    """One curve per modulation depth, all sharing the depth-0 peak-1 baseline."""
-    return [sample_curve(params, CosinePhaseFilter(float(a), float(beta)),
-                         tau_grid, method=method) for a in alphas]
+def _find_peaks(x: np.ndarray, height: float, distance: int) -> np.ndarray:
+    """The peak indices SciPy's find_peaks(x, height=height, distance=distance) gives.
+
+    A peak is a run of equal samples whose neighbours on both sides are
+    strictly lower (so it touches neither end), reported at its middle sample
+    (start + end) // 2.  Peaks below height are dropped.  The rest are visited
+    tallest first, in the order of the same np.argsort SciPy uses so that
+    equal heights resolve alike, and each visited peak that is still kept
+    drops every other kept peak fewer than distance samples away.
+    """
+    starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+    ends = np.append(starts[1:], x.size) - 1
+    v = x[starts]
+    top = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
+    idx = (starts[top] + ends[top]) // 2
+    idx = idx[x[idx] >= height]
+    keep = np.ones(idx.size, dtype=bool)
+    for j in np.argsort(x[idx])[::-1]:
+        if keep[j]:
+            keep[np.abs(idx - idx[j]) < distance] = False
+            keep[j] = True
+    return idx[keep]
+
+
+def _prominences(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """SciPy's peak_prominences(x, idx)[0]: the height of each peak over the
+    larger of the minima on its two sides, each side running from the peak to
+    the first strictly higher sample or the end of x."""
+    out = np.empty(idx.size)
+    for n, i in enumerate(idx):
+        higher = np.flatnonzero(~(x <= x[i]))  # a NaN ends the walk too, as in SciPy
+        k = np.searchsorted(higher, i)
+        lo = higher[k - 1] + 1 if k > 0 else 0
+        hi = higher[k] if k < higher.size else x.size
+        out[n] = x[i] - max(np.min(x[lo:i + 1]), np.min(x[i:hi]))
+    return out
 
 
 def detect_lobes(curve: CorrelationCurve, min_height: float | None = None) -> LobeReport:
@@ -270,8 +299,8 @@ def detect_lobes(curve: CorrelationCurve, min_height: float | None = None) -> Lo
     rates = curve.rates
     threshold = 0.01 * float(np.max(rates)) if min_height is None else float(min_height)
     distance = max(1, math.ceil((T / 4.0) / step))
-    idx, _ = find_peaks(rates, height=threshold, distance=distance)
-    prominences = peak_prominences(rates, idx)[0] if idx.size else np.array([])
+    idx = _find_peaks(rates, threshold, distance)
+    prominences = _prominences(rates, idx)
     lobes = [Lobe(center=float(curve.tau_grid[i]), height=float(rates[i]),
                   prominence=float(p)) for i, p in zip(idx, prominences)]
     return LobeReport(lobes=lobes, threshold=threshold)

@@ -19,6 +19,7 @@ the numerics.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,15 +77,13 @@ class PhysicalParams:
         if not 0 < self.emission_angle < 90:
             # angle -> 0 makes the correlation time diverge
             raise ParameterError("emission_angle must be strictly between 0 and 90 degrees")
-
-
-#: Parameter set used throughout the bundled presets.
-DEFAULT_PARAMS = PhysicalParams(
-    pump_wavelength=350.0,
-    group_velocity=2.0e8,
-    beam_param=100.0,
-    emission_angle=15.0,
-)
+        # finite inputs can still overflow or underflow the derived scales
+        for name, unit, value in (("correlation time T", "fs", characteristic_time(self)),
+                                  ("pump angular frequency omega0", "rad/fs",
+                                   pump_angular_frequency(self))):
+            if not sys.float_info.min <= value < math.inf:
+                raise ParameterError(
+                    f"{name} = {value!r} {unit} must be finite, positive and normal")
 
 
 @dataclass(frozen=True)
@@ -140,13 +139,13 @@ def pump_angular_frequency(params: PhysicalParams) -> float:
     return 2.0 * math.pi * params.light_speed / (params.pump_wavelength * 1e6)
 
 
-def filter_phase(filt: CosinePhaseFilter, omega) -> float | np.ndarray:
-    """Phase depth*cos(mod_frequency*omega) in rad, for omega in rad/fs (>= 0)."""
-    omega = np.asarray(omega, dtype=float)
-    if np.any(omega < 0) or not np.all(np.isfinite(omega)):
-        raise ParameterError("omega must be finite and >= 0")
-    out = filt.depth * np.cos(filt.mod_frequency * omega)
-    return float(out) if out.ndim == 0 else out
+#: Parameter set used throughout the bundled presets.
+DEFAULT_PARAMS = PhysicalParams(
+    pump_wavelength=350.0,
+    group_velocity=2.0e8,
+    beam_param=100.0,
+    emission_angle=15.0,
+)
 
 
 def truncation_for(filt: CosinePhaseFilter, tol: float = 1e-12) -> SeriesTruncation:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import uniform_grid
-from oracles import dense_peak_scan
+from oracles import dense_peak_scan, scipy_peaks
 from pdcshape import (
     CosinePhaseFilter,
     InsufficientDataError,
@@ -16,7 +17,6 @@ from pdcshape import (
     SearchError,
     SweepResult,
     WindowError,
-    alpha_family,
     detect_lobes,
     find_tau_max,
     oscillation_period,
@@ -26,7 +26,7 @@ from pdcshape import (
     truncation_for,
 )
 from pdcshape import analysis
-from pdcshape.analysis import _scan_peak
+from pdcshape.analysis import _find_peaks, _prominences, _scan_peak
 
 J2 = [0.2238907791, 0.5767248078, 0.3528340286]  # J_0..J_2 at depth 2
 
@@ -199,20 +199,72 @@ class TestOscillationPeriod:
 class TestAlphaFamily:
     def test_peak_sign_family_at_50(self, params):
         grid = np.linspace(-600.0, 600.0, 2401)
-        curves = alpha_family(params, 50.0, [0.0, 2.0, 10.0], grid)
+        curves = [sample_curve(params, CosinePhaseFilter(a, 50.0), grid)
+                  for a in (0.0, 2.0, 10.0)]
         peaks = [c.tau_grid[np.argmax(c.rates)] for c in curves]
         assert abs(peaks[0]) <= 0.5
         assert peaks[1] < 0 and peaks[2] < 0
 
     def test_peak_sign_family_at_53(self, params):
         grid = np.linspace(-600.0, 600.0, 2401)
-        curves = alpha_family(params, 53.0, [2.0, 10.0], grid)
+        curves = [sample_curve(params, CosinePhaseFilter(a, 53.0), grid)
+                  for a in (2.0, 10.0)]
         assert all(c.tau_grid[np.argmax(c.rates)] > 0 for c in curves)
 
     def test_inert_at_zero_mod_frequency(self, params):
         grid = np.linspace(-400.0, 400.0, 81)
-        c0, c5 = alpha_family(params, 0.0, [0.0, 5.0], grid)
+        c0 = sample_curve(params, CosinePhaseFilter(0.0, 0.0), grid)
+        c5 = sample_curve(params, CosinePhaseFilter(5.0, 0.0), grid)
         assert np.max(np.abs(c0.rates - c5.rates)) <= 1e-12
+
+
+def assert_peaks_match_scipy(x: np.ndarray, height: float, distance: int) -> None:
+    idx = _find_peaks(x, height, distance)
+    expected_idx, expected_prominences = scipy_peaks(x, height, distance)
+    assert np.array_equal(idx, expected_idx)
+    assert np.array_equal(_prominences(x, idx), expected_prominences)
+
+
+@st.composite
+def peak_inputs(draw):
+    """A curve with its height and distance, as detect_lobes passes them."""
+    small = st.integers(0, 3).map(float)
+    wide = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    x = np.array(draw(st.lists(draw(st.sampled_from([small, wide])),
+                               min_size=1, max_size=60)))
+    edge = draw(st.sampled_from(["none", "left", "right", "both"]))
+    if edge in ("left", "both"):
+        x[0] = x.max() + 1.0
+    if edge in ("right", "both"):
+        x[-1] = x.max() + 1.0
+    height = draw(st.one_of(st.sampled_from(x.tolist()),
+                            st.floats(x.min() - 1.0, x.max() + 1.0)))
+    return x, height, draw(st.integers(1, 8))
+
+
+class TestPeakHelpers:
+    """_find_peaks and _prominences give exactly what SciPy gives."""
+
+    @given(peak_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_match_scipy(self, case):
+        assert_peaks_match_scipy(*case)
+
+    def test_every_short_curve(self):
+        for n in (1, 2, 3):
+            for values in itertools.product([0.0, 1.0, 2.0], repeat=n):
+                for height in (-1.0, 0.0, 1.0, 2.0, 3.0):
+                    for distance in (1, 2, 8):
+                        assert_peaks_match_scipy(np.array(values), height, distance)
+
+    def test_many_tied_peaks(self):
+        # over 16 tied peaks, where np.argsort's order is no longer that of a
+        # stable sort, so a tie resolved any other way shows
+        rng = np.random.default_rng(5)
+        for distance in range(1, 9):
+            for _ in range(20):
+                assert_peaks_match_scipy(rng.integers(0, 4, 200).astype(float), 0.0,
+                                         distance)
 
 
 class TestDetectLobes:

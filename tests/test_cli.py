@@ -288,6 +288,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error: max_points must be <= 16777216\n"
 
+    @pytest.mark.parametrize("command", ["validate", "lobes", "curve"])
+    def test_usage_error_on_overflowing_correlation_time(self, tmp_path, capsys, command):
+        # 2e9 * eps_perp overflows, so T would be inf
+        assert main([command, "--eps-perp-um", "1e300",
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: correlation time T = inf fs must be finite, positive and normal\n"
+
     def test_io_error_exit_code(self, tmp_path):
         missing = tmp_path / "no" / "such" / "dir" / "out.csv"
         assert main(["curve", "--points", "3", "--out", str(missing)]) == 4
@@ -328,8 +336,12 @@ class TestDeterminism:
 
 def test_console_entry_point(tmp_path):
     out = tmp_path / "p.csv"
-    proc = subprocess.run([sys.executable, "-m", "pdcshape", "params",
+    # -X importtime lists every module the run imports on stderr
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "pdcshape", "params",
                            "--out", str(out)], capture_output=True, text=True)
     assert proc.returncode == 0
     assert out.exists()
     assert "lambda_nm = 350.0" in proc.stdout
+    # scipy.signal would add ~1 s and ~50 MB to every command's start
+    assert "scipy.special" in proc.stderr
+    assert "scipy.signal" not in proc.stderr
