@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import bessel_j_table
 from .errors import (
     InsufficientDataError,
     ParameterError,
@@ -23,6 +22,7 @@ from .model import (
     SeriesTruncation,
     characteristic_time,
     count_rate,
+    series_halfwidth,
     truncation_for,
 )
 
@@ -83,6 +83,12 @@ def _best_index(xs: np.ndarray, ys: np.ndarray) -> int:
     return int(cand[order[0]])
 
 
+def _require_resolution(step: float, T: float) -> None:
+    """Refuse a delay grid too coarse to resolve the correlation time T."""
+    if step > T / 20.0:
+        raise ResolutionError(f"grid step {step:g} fs is coarser than T/20 = {T / 20.0:g} fs")
+
+
 def _scan_peak(params: PhysicalParams, filt: CosinePhaseFilter,
                trunc: SeriesTruncation, n: int, grid_step: float) -> int:
     """The k in [-n, n] that _best_index picks from the rates at k*grid_step.
@@ -103,8 +109,7 @@ def _scan_peak(params: PhysicalParams, filt: CosinePhaseFilter,
     s = max(1, int(min(T / (8.0 * grid_step), 2 * n)))
     ks = np.append(np.arange(-n, n, s), n)
     rates = np.asarray(count_rate(params, filt, trunc, ks * grid_step))
-    j = np.abs(bessel_j_table(filt.depth, trunc.max_order).values)
-    curvature = (4.0 + 4.0 / math.e) * ((2.0 * np.sum(j) - j[0]) / T) ** 2
+    curvature = (4.0 + 4.0 / math.e) * (np.sum(np.abs(trunc.coefficients)) / T) ** 2
     reach = (np.maximum(rates[:-1], rates[1:])
              + curvature * (np.diff(ks) * grid_step) ** 2 / 8.0)
     gaps = np.nonzero(reach >= np.max(rates) - 2.0 * _RATE_TIE)[0]
@@ -128,18 +133,19 @@ def find_tau_max(params: PhysicalParams, filt: CosinePhaseFilter,
     points that an exact curvature bound cannot rule out (about 380 of 8,200
     at depth 2).  The bracket is then refined by repeated 9-point bracketing
     plus a final parabolic fit down to refine_tol.  The default window
-    max_order*mod_frequency + 5T covers every series lobe; if the grid argmax
-    is a window end the window was too small and a SearchError is raised.
+    series_halfwidth covers every series lobe; if the grid argmax is a window
+    end the window was too small and a SearchError is raised.  A grid_step
+    above T/20 cannot resolve the rate and raises a ResolutionError.
     """
     if not 0 < grid_step <= 1.0:
         raise ParameterError("grid_step must be in (0, 1] fs")
     if not 0 < refine_tol <= 0.01:
         raise ParameterError("refine_tol must be in (0, 0.01] fs")
+    _require_resolution(grid_step, characteristic_time(params))
     if trunc is None:
         trunc = truncation_for(filt)
     if search_halfwidth is None:
-        search_halfwidth = (trunc.max_order * filt.mod_frequency
-                            + 5.0 * characteristic_time(params))
+        search_halfwidth = series_halfwidth(params, filt, trunc)
     if search_halfwidth <= grid_step:
         raise ParameterError("search_halfwidth must exceed grid_step")
     scan_cells = (2.0 * search_halfwidth / grid_step + 1.0) * (2 * trunc.max_order + 1)
@@ -202,7 +208,7 @@ def sweep_beta(params: PhysicalParams, alpha: float, beta_start: float,
             f"needs over {_MAX_SWEEP_STEPS} points; raise beta_step")
     count = int(math.floor(steps + 1e-9)) + 1
     betas = beta_start + np.arange(count) * beta_step
-    # the cutoff depends only on depth, so compute it once for the whole sweep
+    # the series depends only on depth, so build it once for the whole sweep
     trunc = truncation_for(CosinePhaseFilter(alpha, 0.0), trunc_tol)
     tau_maxes = np.empty(count)
     peak_rates = np.empty(count)
@@ -293,9 +299,7 @@ def detect_lobes(curve: CorrelationCurve, min_height: float | None = None) -> Lo
     if not np.allclose(steps, steps[0], rtol=1e-6, atol=0.0):
         raise ParameterError("lobe detection requires a uniform tau grid")
     step = float(steps[0])
-    if step > T / 20.0:
-        raise ResolutionError(
-            f"grid step {step:g} fs is coarser than T/20 = {T / 20.0:g} fs")
+    _require_resolution(step, T)
     rates = curve.rates
     threshold = 0.01 * float(np.max(rates)) if min_height is None else float(min_height)
     distance = max(1, math.ceil((T / 4.0) / step))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -109,18 +109,23 @@ class CosinePhaseFilter:
 
 @dataclass(frozen=True)
 class SeriesTruncation:
-    """Symmetric series cutoff: orders -max_order..max_order are kept.
+    """The depth's Bessel series, built once: orders -max_order..max_order, i^m J_m(depth)."""
 
-    tail_tolerance bounds the dropped coefficient mass
-    sum_{|m|>max_order} |J_m(depth)|.
-    """
-
+    depth: float
     max_order: int
-    tail_tolerance: float = 1e-12
+    orders: np.ndarray = field(init=False, repr=False, compare=False)
+    coefficients: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.max_order < 0:
             raise ParameterError("max_order must be >= 0")
+        orders = np.arange(-self.max_order, self.max_order + 1)
+        j = bessel_j_table(self.depth, self.max_order).values[np.abs(orders)]
+        j[(orders < 0) & (orders % 2 != 0)] *= -1.0
+        # i^m looked up exactly instead of complex powers, which round
+        i_pow = np.array([1.0, 1.0j, -1.0, -1.0j])[np.mod(orders, 4)]
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "coefficients", i_pow * j)
 
 
 def characteristic_time(params: PhysicalParams) -> float:
@@ -158,9 +163,6 @@ def truncation_for(filt: CosinePhaseFilter, tol: float = 1e-12) -> SeriesTruncat
     """
     if not 0 < tol <= 1e-3:
         raise ParameterError(f"tol must be in (0, 1e-3], got {tol!r}")
-    if filt.depth == 0.0:
-        return SeriesTruncation(max_order=0, tail_tolerance=tol)
-
     n = math.ceil(filt.depth) + 80
     while True:
         if n > 1000:
@@ -176,21 +178,13 @@ def truncation_for(filt: CosinePhaseFilter, tol: float = 1e-12) -> SeriesTruncat
     tail = 2.0 * np.cumsum(j[::-1])[::-1]
     while m + 1 <= n and tail[m + 1] >= 0.5 * tol:
         m += 1
-    return SeriesTruncation(max_order=m, tail_tolerance=tol)
+    return SeriesTruncation(filt.depth, m)
 
 
-def series_coefficients(filt: CosinePhaseFilter, trunc: SeriesTruncation,
-                        pump_omega: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orders m = -M..M and coefficients i^m J_m(depth) e^{i m mod_frequency pump_omega/2}."""
-    m_max = trunc.max_order
-    table = bessel_j_table(filt.depth, m_max)
-    orders = np.arange(-m_max, m_max + 1)
-    j = table.values[np.abs(orders)].copy()
-    j[(orders < 0) & (orders % 2 != 0)] *= -1.0
-    # i^m looked up exactly instead of complex powers, which round
-    i_pow = np.array([1.0, 1.0j, -1.0, -1.0j])[np.mod(orders, 4)]
-    twist = np.exp(1j * orders * (0.5 * filt.mod_frequency * pump_omega))
-    return orders, i_pow * j * twist
+def series_halfwidth(params: PhysicalParams, filt: CosinePhaseFilter,
+                     trunc: SeriesTruncation) -> float:
+    """Half-width in fs of the delay window that holds every lobe of the series."""
+    return trunc.max_order * filt.mod_frequency + 5.0 * characteristic_time(params)
 
 
 def amplitude_series(params: PhysicalParams, filt: CosinePhaseFilter,
@@ -199,11 +193,12 @@ def amplitude_series(params: PhysicalParams, filt: CosinePhaseFilter,
 
     Normalized so that depth = 0 gives exactly exp(-tau^2/T^2) + 0i.
     """
+    if trunc.depth != filt.depth:
+        raise ParameterError(f"truncation is for depth {trunc.depth!r}, not {filt.depth!r}")
     T = characteristic_time(params)
     omega0 = pump_angular_frequency(params)
-    orders, coeff = series_coefficients(filt, trunc, omega0)
-    tau_arr = np.asarray(tau, dtype=float)
-    shifts = (tau_arr[..., None] - orders * filt.mod_frequency) / T
+    coeff = trunc.coefficients * np.exp(1j * trunc.orders * (0.5 * filt.mod_frequency * omega0))
+    shifts = (np.asarray(tau, dtype=float)[..., None] - trunc.orders * filt.mod_frequency) / T
     out = np.exp(-shifts * shifts) @ coeff
     return complex(out) if out.ndim == 0 else out
 

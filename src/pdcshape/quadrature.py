@@ -35,6 +35,7 @@ from .model import (
     characteristic_time,
     count_rate,
     pump_angular_frequency,
+    series_halfwidth,
     truncation_for,
 )
 
@@ -245,8 +246,7 @@ def comparison_grid(params: PhysicalParams, filt: CosinePhaseFilter,
         raise ParameterError("spacing must be > 0")
     if trunc is None:
         trunc = truncation_for(filt)
-    halfwidth = trunc.max_order * filt.mod_frequency + 5.0 * characteristic_time(params)
-    n = math.ceil(halfwidth / spacing)
+    n = math.ceil(series_halfwidth(params, filt, trunc) / spacing)
     return np.arange(-n, n + 1) * spacing
 
 

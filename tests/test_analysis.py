@@ -25,7 +25,7 @@ from pdcshape import (
     total_coincidence_integral,
     truncation_for,
 )
-from pdcshape import analysis
+from pdcshape import analysis, model
 from pdcshape.analysis import _find_peaks, _prominences, _scan_peak
 
 J2 = [0.2238907791, 0.5767248078, 0.3528340286]  # J_0..J_2 at depth 2
@@ -173,6 +173,21 @@ class TestSweep:
     def test_reversed_range_rejected(self, params):
         with pytest.raises(ParameterError):
             sweep_beta(params, 2.0, 50.0, 48.0, 0.1)
+
+    def test_series_built_once_per_depth(self, params, monkeypatch):
+        # one table for choosing the cutoff and one for the coefficients,
+        # however many betas the sweep visits
+        calls = []
+        original = model.bessel_j_table
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(model, "bessel_j_table", counting)
+        sweep = sweep_beta(params, 2.0, 48.0, 53.0, 0.1)
+        assert sweep.beta_values.size == 51
+        assert len(calls) <= 2
 
     def test_search_error_carries_offending_beta(self, params):
         with pytest.raises(SearchError, match="mod_frequency 999"):

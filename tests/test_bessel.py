@@ -7,23 +7,21 @@ from hypothesis import strategies as st
 
 from oracles import series_bessel_j
 from pdcshape import (
-    CosinePhaseFilter,
     ParameterError,
     SeriesTruncation,
     bessel_j_table,
-    series_coefficients,
 )
 
 
 def signed_orders(x: float, m_max: int) -> dict[int, float]:
     """J_m(x) for m = -m_max..m_max as the series amplitude applies them.
 
-    At zero modulation frequency its coefficients are exactly i^m J_m(x), so
-    multiplying by i^-m recovers the signed values.
+    The truncation's coefficients are exactly i^m J_m(x), so multiplying by
+    i^-m recovers the signed values.
     """
-    orders, coeff = series_coefficients(CosinePhaseFilter(x, 0.0),
-                                         SeriesTruncation(m_max), 1.0)
-    j = coeff * np.array([1.0, -1.0j, -1.0, 1.0j])[np.mod(orders, 4)]
+    trunc = SeriesTruncation(x, m_max)
+    orders = trunc.orders
+    j = trunc.coefficients * np.array([1.0, -1.0j, -1.0, 1.0j])[np.mod(orders, 4)]
     assert np.all(j.imag == 0.0)
     return dict(zip(orders.tolist(), j.real.tolist()))
 

@@ -296,6 +296,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error: correlation time T = inf fs must be finite, positive and normal\n"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["tau-max", "sweep-beta"])
+    def test_peak_search_below_resolution_refused(self, tmp_path, capsys, command):
+        # T ~ 2.6e-300 fs, far below the 0.5 fs peak-search grid
+        assert main([command, "--eps-perp-um", "1e-300",
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid step 0.5 fs is coarser than T/20 = ")
+        assert err.count("\n") == 1
+
     def test_io_error_exit_code(self, tmp_path):
         missing = tmp_path / "no" / "such" / "dir" / "out.csv"
         assert main(["curve", "--points", "3", "--out", str(missing)]) == 4

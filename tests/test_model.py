@@ -9,12 +9,12 @@ from pdcshape import (
     CosinePhaseFilter,
     ParameterError,
     PhysicalParams,
+    SeriesTruncation,
     amplitude_series,
     characteristic_time,
     count_rate,
     pump_angular_frequency,
     sample_curve,
-    series_coefficients,
     truncation_for,
 )
 from pdcshape.quadrature import VALIDATION_DEPTHS
@@ -110,7 +110,7 @@ class TestTruncation:
         trunc = truncation_for(CosinePhaseFilter(depth, 0.0))
         m = trunc.max_order
         tail = 2.0 * sum(abs(series_bessel_j(k, depth)) for k in range(m + 1, m + 40))
-        assert tail < trunc.tail_tolerance
+        assert tail < 1e-12
 
 
 class TestAmplitude:
@@ -160,20 +160,25 @@ class TestCountRate:
         filt = CosinePhaseFilter(depth, beta)
         trunc = truncation_for(filt)
         rate = count_rate(params, filt, trunc, tau)
-        _, coeff = series_coefficients(filt, trunc, pump_angular_frequency(params))
-        assert 0.0 <= rate <= np.sum(np.abs(coeff)) ** 2 + 1e-12
+        assert 0.0 <= rate <= np.sum(np.abs(trunc.coefficients)) ** 2 + 1e-12
 
     @given(depth=depths, beta=st.floats(min_value=0.0, max_value=300.0, allow_nan=False))
     @settings(max_examples=20, deadline=None)
     def test_truncation_stability(self, params, depth, beta):
         filt = CosinePhaseFilter(depth, beta)
         trunc = truncation_for(filt)
-        from pdcshape import SeriesTruncation
-        doubled = SeriesTruncation(2 * trunc.max_order, trunc.tail_tolerance)
+        doubled = SeriesTruncation(filt.depth, 2 * trunc.max_order)
         taus = np.linspace(-800, 800, 81)
         r1 = count_rate(params, filt, trunc, taus)
         r2 = count_rate(params, filt, doubled, taus)
         assert np.max(np.abs(r1 - r2)) <= 1e-10
+
+    def test_truncation_of_another_depth_refused(self, params):
+        # the truncation carries its depth's coefficients, so using it for
+        # another depth would silently give a wrong amplitude
+        trunc = truncation_for(CosinePhaseFilter(2.0, 0.0))
+        with pytest.raises(ParameterError, match="truncation is for depth 2.0, not 5.0"):
+            count_rate(params, CosinePhaseFilter(5.0, 50.0), trunc, 0.0)
 
 
 class TestReflectionPairing:
@@ -186,8 +191,8 @@ class TestReflectionPairing:
         filt = CosinePhaseFilter(depth, beta)
         trunc = truncation_for(filt)
         omega0 = pump_angular_frequency(params)
-        orders, coeff = series_coefficients(filt, trunc, omega0)
-        conj_twist = coeff * np.exp(-1j * orders * (beta * omega0))
+        orders = trunc.orders
+        conj_twist = trunc.coefficients * np.exp(-1j * orders * (0.5 * beta * omega0))
         T = characteristic_time(params)
         taus = np.linspace(-900, 900, 121)
         env = np.exp(-(((taus[:, None]) - orders * beta) / T) ** 2)
