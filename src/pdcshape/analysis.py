@@ -162,19 +162,15 @@ def find_tau_max(params: PhysicalParams, filt: CosinePhaseFilter,
         raise SearchError(
             f"rate maximum at the window edge (tau = {tau} fs); widen search_halfwidth")
 
-    lo = tau - grid_step
-    hi = tau + grid_step
-    xs = np.linspace(lo, hi, 9)
-    ys = np.asarray(count_rate(params, filt, trunc, xs))
-    j = _best_index(xs, ys)
-    while hi - lo > refine_tol:
-        lo = xs[max(j - 1, 0)]
-        hi = xs[min(j + 1, xs.size - 1)]
+    lo, hi = tau - grid_step, tau + grid_step
+    while True:
         xs = np.linspace(lo, hi, 9)
         ys = np.asarray(count_rate(params, filt, trunc, xs))
         j = _best_index(xs, ys)
-    final_lo = xs[max(j - 1, 0)]
-    final_hi = xs[min(j + 1, xs.size - 1)]
+        evaluated = hi - lo
+        lo, hi = xs[max(j - 1, 0)], xs[min(j + 1, xs.size - 1)]
+        if evaluated <= refine_tol:
+            break
 
     best_x = float(xs[j])
     best_y = float(ys[j])
@@ -184,12 +180,12 @@ def find_tau_max(params: PhysicalParams, filt: CosinePhaseFilter,
         if curv < 0.0:
             step = xs[j] - xs[j - 1]
             vertex = xs[j] + 0.5 * step * (yl - yr) / curv
-            vertex = min(max(vertex, final_lo), final_hi)
+            vertex = min(max(vertex, lo), hi)
             y_vertex = float(count_rate(params, filt, trunc, vertex))
             if y_vertex >= best_y:
                 best_x, best_y = float(vertex), y_vertex
     return TauMaxResult(tau_max=best_x, rate_at_max=best_y,
-                        refinement_width=float(final_hi - final_lo))
+                        refinement_width=float(hi - lo))
 
 
 def sweep_beta(params: PhysicalParams, alpha: float, beta_start: float,

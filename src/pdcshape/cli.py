@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 usage or parameter error, 3 validation failure,
-4 I/O error, 5 numerical non-convergence.
+Exit codes: 0 success, 2 usage or parameter error (any ParameterError),
+3 validation failure, 4 I/O error, 5 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -15,14 +15,7 @@ import numpy as np
 from . import analysis
 from .config import RunConfig, resolve_config
 from .csvio import _meta_str, write_csv
-from .errors import (
-    ConvergenceError,
-    InsufficientDataError,
-    ParameterError,
-    ResolutionError,
-    SearchError,
-    WindowError,
-)
+from .errors import ConvergenceError, ParameterError
 from .model import _METHODS, CorrelationCurve, CosinePhaseFilter, sample_curve, truncation_for
 from .quadrature import (
     VALIDATION_DEPTHS,
@@ -96,8 +89,9 @@ def _out_path(cfg: RunConfig, command: str) -> Path:
 
 def _sample(cfg: RunConfig, filt: CosinePhaseFilter, grid: np.ndarray) -> CorrelationCurve:
     """The rate curve over grid by cfg.method, with cfg's cutoff and quadrature policy."""
-    return sample_curve(cfg.params, filt, grid, method=cfg.method,
-                        trunc=truncation_for(filt, cfg.trunc_tol), settings=cfg.quad)
+    trunc = truncation_for(filt, cfg.trunc_tol) if cfg.method == "series" else None
+    return sample_curve(cfg.params, filt, grid, method=cfg.method, trunc=trunc,
+                        settings=cfg.quad)
 
 
 def _curve_columns(cfg: RunConfig,
@@ -209,8 +203,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = resolve_config(flags, args.config, _PRESETS.get(args.command))
         return run_command(cfg, args.command)
-    except (ParameterError, SearchError, ResolutionError, WindowError,
-            InsufficientDataError) as exc:
+    except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConvergenceError as exc:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; every refusal of an input is a ParameterError."""
 
 
 class ParameterError(ValueError):
@@ -9,17 +9,17 @@ class ConvergenceError(RuntimeError):
     """Numerical refinement did not converge within its point budget."""
 
 
-class SearchError(RuntimeError):
+class SearchError(ParameterError):
     """Peak search window too small: the maximum sits on the boundary."""
 
 
-class ResolutionError(ValueError):
+class ResolutionError(ParameterError):
     """Sampled curve too coarse for the requested analysis."""
 
 
-class WindowError(ValueError):
+class WindowError(ParameterError):
     """Curve window too narrow: edge values have not decayed."""
 
 
-class InsufficientDataError(ValueError):
+class InsufficientDataError(ParameterError):
     """Input does not contain enough structure for the requested estimate."""

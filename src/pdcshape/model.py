@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bessel import bessel_j_table
+from .bessel import MAX_ORDER, bessel_j_table
 from .errors import ParameterError
 
 LIGHT_SPEED_DEFAULT = 3.0e8  # m/s, pinned round value; override via PhysicalParams
@@ -154,31 +154,26 @@ DEFAULT_PARAMS = PhysicalParams(
 
 
 def truncation_for(filt: CosinePhaseFilter, tol: float = 1e-12) -> SeriesTruncation:
-    """Smallest usable symmetric cutoff for the given filter depth.
+    """Smallest symmetric cutoff M for the given filter depth.
 
-    Scans |J_m(depth)| for the first order where three consecutive values sit
-    below tol, then extends until the dropped two-sided tail mass is below
-    tol/2, which is what keeps the depth-independent identities (e.g. the
-    mod_frequency = 0 reduction) good to tol in the rate.
+    M is the first order whose dropped two-sided tail 2 sum_{m > M} |J_m(depth)|
+    is below tol/2, which is what keeps the depth-independent identities (e.g.
+    the mod_frequency = 0 reduction) good to tol in the rate.  The |J| table
+    starts at depth + 80 orders and doubles until it holds such an M.
     """
     if not 0 < tol <= 1e-3:
         raise ParameterError(f"tol must be in (0, 1e-3], got {tol!r}")
     n = math.ceil(filt.depth) + 80
     while True:
-        if n > 1000:
+        if n > MAX_ORDER:
             raise ParameterError(f"filter depth {filt.depth} too large for series truncation")
         j = np.abs(bessel_j_table(filt.depth, n).values)
-        below = j < tol
-        candidates = np.nonzero(below[1:-2] & below[2:-1] & below[3:])[0]
-        if candidates.size:
-            m = int(candidates[0])
-            break
+        # dropped[m] = 2 sum_{m < k <= n} |J_k|, summed from the table's end
+        dropped = 2.0 * np.cumsum(j[::-1])[::-1][1:]
+        passing = np.flatnonzero(dropped < 0.5 * tol)
+        if passing.size:
+            return SeriesTruncation(filt.depth, int(passing[0]))
         n *= 2
-    # two-sided tail mass actually dropped; suffixes of the |J| scan
-    tail = 2.0 * np.cumsum(j[::-1])[::-1]
-    while m + 1 <= n and tail[m + 1] >= 0.5 * tol:
-        m += 1
-    return SeriesTruncation(filt.depth, m)
 
 
 def series_halfwidth(params: PhysicalParams, filt: CosinePhaseFilter,
@@ -217,15 +212,11 @@ class CorrelationCurve:
 
     tau_grid: np.ndarray
     rates: np.ndarray
-    method: str
     params: PhysicalParams
-    filter: CosinePhaseFilter
 
     def __post_init__(self) -> None:
         self.tau_grid = np.asarray(self.tau_grid, dtype=float)
         self.rates = np.asarray(self.rates, dtype=float)
-        if self.method not in _METHODS:
-            raise ParameterError(f"method must be one of {_METHODS}, got {self.method!r}")
         if self.tau_grid.ndim != 1 or self.tau_grid.size == 0:
             raise ParameterError("tau_grid must be a non-empty 1-d array")
         if self.rates.shape != self.tau_grid.shape:
@@ -265,5 +256,4 @@ def sample_curve(params: PhysicalParams, filt: CosinePhaseFilter, tau_grid,
         from .quadrature import rate_grid  # deferred: quadrature imports this module
 
         rates = rate_grid(params, filt, tau_grid, settings)
-    return CorrelationCurve(tau_grid=tau_grid, rates=np.asarray(rates),
-                            method=method, params=params, filter=filt)
+    return CorrelationCurve(tau_grid=tau_grid, rates=np.asarray(rates), params=params)

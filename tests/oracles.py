@@ -3,12 +3,14 @@
 Everything here is deliberately naive or comes from another library:
 Bessel values from mpmath in 40-digit arithmetic, no Jacobi-Anger identity, a
 dense node-by-node trapezoid sum with no factorization and no level reuse, a
-peak scan that evaluates every grid delay, and SciPy's own peak finder, so
-agreement with the package is a real cross-check rather than the same
-algorithm twice.
+peak scan that evaluates every grid delay, SciPy's own peak finder and the
+earlier two-stage series cutoff, so agreement with the package is a real
+cross-check rather than the same algorithm twice.
 """
 
 from __future__ import annotations
+
+import math
 
 import mpmath
 import numpy as np
@@ -16,6 +18,8 @@ from scipy.signal import find_peaks, peak_prominences
 
 from pdcshape import characteristic_time, count_rate, pump_angular_frequency
 from pdcshape.analysis import _best_index
+from pdcshape.bessel import bessel_j_table
+from pdcshape.errors import ParameterError
 from pdcshape.quadrature import nu_halfwidth
 
 _DPS = 40
@@ -59,3 +63,30 @@ def scipy_peaks(x: np.ndarray, height: float, distance: int) -> tuple[np.ndarray
     """Peak indices and prominences from SciPy's find_peaks and peak_prominences."""
     idx, _ = find_peaks(x, height=height, distance=distance)
     return idx, peak_prominences(x, idx)[0]
+
+
+def two_stage_cutoff(filt, tol: float = 1e-12) -> int:
+    """Series cutoff by the two-stage rule truncation_for applied before its single tail test.
+
+    Scans |J_m(depth)| for the first order where three consecutive values sit
+    below tol, then extends until the dropped two-sided tail mass is below
+    tol/2.
+    """
+    if not 0 < tol <= 1e-3:
+        raise ParameterError(f"tol must be in (0, 1e-3], got {tol!r}")
+    n = math.ceil(filt.depth) + 80
+    while True:
+        if n > 1000:
+            raise ParameterError(f"filter depth {filt.depth} too large for series truncation")
+        j = np.abs(bessel_j_table(filt.depth, n).values)
+        below = j < tol
+        candidates = np.nonzero(below[1:-2] & below[2:-1] & below[3:])[0]
+        if candidates.size:
+            m = int(candidates[0])
+            break
+        n *= 2
+    # two-sided tail mass actually dropped; suffixes of the |J| scan
+    tail = 2.0 * np.cumsum(j[::-1])[::-1]
+    while m + 1 <= n and tail[m + 1] >= 0.5 * tol:
+        m += 1
+    return m

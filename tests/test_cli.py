@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pdcshape import ParameterError, csvio
+from pdcshape import ConvergenceError, ParameterError, csvio, errors
 from pdcshape.cli import _PRESETS, main
 from pdcshape.config import DEFAULTS, read_config_file, resolve_config
 from pdcshape.csvio import format_number, render_csv
@@ -208,8 +208,27 @@ class TestCommands:
         sr = [float(r.split(",")[1]) for r in data_rows(b)]
         assert qr == pytest.approx(sr, abs=1e-8)
 
+    def test_quadrature_needs_no_series_cutoff(self, tmp_path):
+        # depth 1000 is past the series' 1000-order limit; the quadrature has none
+        out = tmp_path / "q.csv"
+        assert main(["curve", "--method", "quadrature", "--alpha", "1000", "--points", "5",
+                     "--out", str(out)]) == 0
+        rates = np.array([float(r.split(",")[1]) for r in data_rows(out)])
+        assert rates.size == 5
+        assert np.all(np.isfinite(rates))
+        assert np.all((rates >= 0.0) & (rates <= 1.0))
+
 
 class TestExitCodes:
+    def test_every_refusal_is_a_parameter_error(self):
+        # main maps ParameterError to exit 2, so every other error type must be one
+        kinds = [v for v in vars(errors).values()
+                 if isinstance(v, type) and issubclass(v, Exception)]
+        assert {ParameterError, ConvergenceError} < set(kinds)
+        for kind in kinds:
+            if kind is not ConvergenceError:
+                assert issubclass(kind, ParameterError), kind.__name__
+
     def test_usage_error_on_bad_angle(self, tmp_path):
         assert main(["curve", "--theta-deg", "0", "--out",
                      str(tmp_path / "x.csv")]) == 2

@@ -3,14 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import series_bessel_j
+from oracles import series_bessel_j, two_stage_cutoff
 from pdcshape import (
+    BesselTable,
     CorrelationCurve,
     CosinePhaseFilter,
     ParameterError,
     PhysicalParams,
     SeriesTruncation,
     amplitude_series,
+    bessel_j_table,
     characteristic_time,
     count_rate,
     pump_angular_frequency,
@@ -99,6 +101,25 @@ class TestTruncation:
     @pytest.mark.parametrize("depth,order", zip(VALIDATION_DEPTHS, (0, 12, 15, 22, 31)))
     def test_validation_depth_orders_are_pinned(self, depth, order):
         assert truncation_for(CosinePhaseFilter(depth, 0.0)).max_order == order
+
+    def test_tail_rule_matches_two_stage_cutoff(self, monkeypatch):
+        # Both rules read the same |J| table.  jv is elementwise, so each
+        # depth's table is computed once, at the largest order asked, and sliced.
+        tables = {}
+
+        def table(x, max_order):
+            if x not in tables or tables[x].max_order < max_order:
+                tables[x] = bessel_j_table(x, max_order)
+            return BesselTable(x, max_order, tables[x].values[:max_order + 1].copy())
+
+        monkeypatch.setattr("pdcshape.model.bessel_j_table", table)
+        monkeypatch.setattr("oracles.bessel_j_table", table)
+        depths = np.append(np.arange(1201) * 0.05, [100.0, 200.0, 400.0, 460.0])
+        for tol in (1e-12, 1e-6):
+            for depth in depths:
+                filt = CosinePhaseFilter(float(depth), 0.0)
+                assert (truncation_for(filt, tol).max_order
+                        == two_stage_cutoff(filt, tol)), (depth, tol)
 
     def test_bad_tolerance_rejected(self):
         with pytest.raises(ParameterError):
@@ -231,12 +252,10 @@ class TestSampleCurve:
 
 
 class TestCorrelationCurve:
-    def test_mismatched_lengths_rejected(self, params, no_filter):
+    def test_mismatched_lengths_rejected(self, params):
         with pytest.raises(ParameterError):
-            CorrelationCurve(np.array([0.0, 1.0]), np.array([1.0]), "series",
-                             params, no_filter)
+            CorrelationCurve(np.array([0.0, 1.0]), np.array([1.0]), params)
 
-    def test_negative_rates_rejected(self, params, no_filter):
+    def test_negative_rates_rejected(self, params):
         with pytest.raises(ParameterError):
-            CorrelationCurve(np.array([0.0, 1.0]), np.array([1.0, -0.1]), "series",
-                             params, no_filter)
+            CorrelationCurve(np.array([0.0, 1.0]), np.array([1.0, -0.1]), params)
