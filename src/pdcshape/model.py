@@ -32,10 +32,18 @@ LIGHT_SPEED_DEFAULT = 3.0e8  # m/s, pinned round value; override via PhysicalPar
 _METHODS = ("series", "quadrature")
 
 # Cap on delay x series order cells, checked before a comb or peak scan is
-# allocated (about 32 B a cell at peak, ~540 MB at the cap).  fig4 and fig3
-# evaluate 14,001 and 2,401 delays x at most 63 orders, and fig2's peak-search
-# grid holds 8,361 x 31.  The quadrature's interval budget shares this cap.
+# evaluated; it bounds time, as the comb's memory is bounded per block.  fig4
+# and fig3 evaluate 14,001 and 2,401 delays x at most 63 orders, and fig2's
+# peak-search grid holds 8,361 x 31.  The quadrature's interval budget shares
+# this cap.
 _MAX_COMB_CELLS = 2**24
+# Delays per block of the series comb: at most _TAU_BLOCK x (2M + 1) cells are
+# held at once (about 2 MB at depth 10).
+_TAU_BLOCK = 1024
+# Lobe reach R in units of T: exp(-28^2) underflows to exactly 0.0 in float64
+# (anything past |s| ~ 27.3 does), so orders farther than R from a block are
+# exact zeros there.
+_LOBE_REACH = 28.0
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -159,21 +167,29 @@ def truncation_for(filt: CosinePhaseFilter, tol: float = 1e-12) -> SeriesTruncat
     M is the first order whose dropped two-sided tail 2 sum_{m > M} |J_m(depth)|
     is below tol/2, which is what keeps the depth-independent identities (e.g.
     the mod_frequency = 0 reduction) good to tol in the rate.  The |J| table
-    starts at depth + 80 orders and doubles until it holds such an M.
+    starts at depth + 80 orders and doubles, up to MAX_ORDER, until it holds
+    such an M.  The orders past the table's end n count too: past the depth,
+    J_k > 0 falls with a falling ratio (Turan's inequality J_k^2 > J_{k-1} J_{k+1}),
+    so they sum to at most J_n r / (1 - r) with r = J_n / J_{n-1}.
     """
     if not 0 < tol <= 1e-3:
         raise ParameterError(f"tol must be in (0, 1e-3], got {tol!r}")
-    n = math.ceil(filt.depth) + 80
+    n = min(math.ceil(filt.depth) + 80, MAX_ORDER)
     while True:
-        if n > MAX_ORDER:
-            raise ParameterError(f"filter depth {filt.depth} too large for series truncation")
         j = np.abs(bessel_j_table(filt.depth, n).values)
-        # dropped[m] = 2 sum_{m < k <= n} |J_k|, summed from the table's end
-        dropped = 2.0 * np.cumsum(j[::-1])[::-1][1:]
+        beyond = math.inf
+        if j[-1] == 0.0:
+            beyond = 0.0
+        elif n - 1 > filt.depth and j[-2] > j[-1]:
+            beyond = j[-1] ** 2 / (j[-2] - j[-1])
+        # dropped[m] = 2 (sum_{m < k <= n} |J_k| + beyond), summed from the table's end
+        dropped = 2.0 * (np.append(np.cumsum(j[:0:-1])[::-1], 0.0) + beyond)
         passing = np.flatnonzero(dropped < 0.5 * tol)
         if passing.size:
             return SeriesTruncation(filt.depth, int(passing[0]))
-        n *= 2
+        if n == MAX_ORDER:
+            raise ParameterError(f"filter depth {filt.depth} too large for series truncation")
+        n = min(2 * n, MAX_ORDER)
 
 
 def series_halfwidth(params: PhysicalParams, filt: CosinePhaseFilter,
@@ -186,15 +202,38 @@ def amplitude_series(params: PhysicalParams, filt: CosinePhaseFilter,
                      trunc: SeriesTruncation, tau) -> complex | np.ndarray:
     """Bessel-series pair amplitude at delay tau (fs); scalar in, scalar out.
 
-    Normalized so that depth = 0 gives exactly exp(-tau^2/T^2) + 0i.
+    Normalized so that depth = 0 gives exactly exp(-tau^2/T^2) + 0i.  The
+    delays are taken in blocks of _TAU_BLOCK, so memory stays bounded for any
+    count.  A block uses only the run of orders whose lobe centre m*beta lies
+    within R = _LOBE_REACH * T of its [min tau, max tau]: every other term's
+    exp(-s^2) underflows to exactly 0.0 and is skipped, not approximated.
+    A comb that spans no more than R (2 M beta <= R, which includes beta = 0)
+    keeps every order: no block inside it could skip one.
     """
     if trunc.depth != filt.depth:
         raise ParameterError(f"truncation is for depth {trunc.depth!r}, not {filt.depth!r}")
     T = characteristic_time(params)
     omega0 = pump_angular_frequency(params)
-    coeff = trunc.coefficients * np.exp(1j * trunc.orders * (0.5 * filt.mod_frequency * omega0))
-    shifts = (np.asarray(tau, dtype=float)[..., None] - trunc.orders * filt.mod_frequency) / T
-    out = np.exp(-shifts * shifts) @ coeff
+    beta = filt.mod_frequency
+    coeff = trunc.coefficients * np.exp(1j * trunc.orders * (0.5 * beta * omega0))
+    centres = trunc.orders * beta
+    taus = np.asarray(tau, dtype=float)
+    flat = taus.ravel()
+    out = np.empty(flat.size, dtype=complex)
+    m, reach = trunc.max_order, _LOBE_REACH * T
+    block_centres, block_coeff = centres, coeff
+    for lo in range(0, flat.size, _TAU_BLOCK):
+        t = flat[lo:lo + _TAU_BLOCK]
+        if 2 * m * beta > reach:
+            # first and last order in reach, clipped in float before int; the
+            # constant comes first so that a NaN bound keeps every order
+            first = math.ceil(min(m + 1, max(-m, (t.min() - reach) / beta)))
+            last = math.floor(max(-m - 1, min(m, (t.max() + reach) / beta)))
+            block_centres = centres[first + m:last + m + 1]
+            block_coeff = coeff[first + m:last + m + 1]
+        s = (t[:, None] - block_centres) / T
+        np.matmul(np.exp(-s * s), block_coeff, out=out[lo:lo + _TAU_BLOCK])
+    out = out.reshape(taus.shape)
     return complex(out) if out.ndim == 0 else out
 
 

@@ -3,7 +3,8 @@
 Everything here is deliberately naive or comes from another library:
 Bessel values from mpmath in 40-digit arithmetic, no Jacobi-Anger identity, a
 dense node-by-node trapezoid sum with no factorization and no level reuse, a
-peak scan that evaluates every grid delay, SciPy's own peak finder and the
+series comb formed as one delays x orders matrix, a peak scan that evaluates
+every grid delay, SciPy's own peak finder and the
 earlier two-stage series cutoff, so agreement with the package is a real
 cross-check rather than the same algorithm twice.
 """
@@ -51,6 +52,15 @@ def dense_trapezoid(params, filt, taus, intervals: int, settings) -> np.ndarray:
     w[0] *= 0.5
     w[-1] *= 0.5
     return np.array([np.exp(1j * tau * nus) @ w for tau in np.asarray(taus, dtype=float)])
+
+
+def dense_comb(params, filt, trunc, tau):
+    """Series amplitude from one delays x orders matrix, every order on every delay."""
+    T = characteristic_time(params)
+    omega0 = pump_angular_frequency(params)
+    coeff = trunc.coefficients * np.exp(1j * trunc.orders * (0.5 * filt.mod_frequency * omega0))
+    shifts = (np.asarray(tau, dtype=float)[..., None] - trunc.orders * filt.mod_frequency) / T
+    return np.exp(-shifts * shifts) @ coeff
 
 
 def dense_peak_scan(params, filt, trunc, n: int, grid_step: float) -> int:

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import jv
 
-from oracles import series_bessel_j, two_stage_cutoff
+from oracles import dense_comb, series_bessel_j, two_stage_cutoff
 from pdcshape import (
     BesselTable,
     CorrelationCurve,
@@ -19,6 +22,7 @@ from pdcshape import (
     sample_curve,
     truncation_for,
 )
+from pdcshape.model import _TAU_BLOCK, series_halfwidth
 from pdcshape.quadrature import VALIDATION_DEPTHS
 
 depths = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
@@ -102,9 +106,10 @@ class TestTruncation:
     def test_validation_depth_orders_are_pinned(self, depth, order):
         assert truncation_for(CosinePhaseFilter(depth, 0.0)).max_order == order
 
-    def test_tail_rule_matches_two_stage_cutoff(self, monkeypatch):
-        # Both rules read the same |J| table.  jv is elementwise, so each
-        # depth's table is computed once, at the largest order asked, and sliced.
+    @pytest.fixture
+    def shared_tables(self, monkeypatch):
+        # jv is elementwise, so each depth's table is computed once, at the
+        # largest order asked, and sliced for every later ask.
         tables = {}
 
         def table(x, max_order):
@@ -114,12 +119,31 @@ class TestTruncation:
 
         monkeypatch.setattr("pdcshape.model.bessel_j_table", table)
         monkeypatch.setattr("oracles.bessel_j_table", table)
+        return table
+
+    def test_tail_rule_matches_two_stage_cutoff(self, shared_tables):
+        # both rules read the same |J| table
         depths = np.append(np.arange(1201) * 0.05, [100.0, 200.0, 400.0, 460.0])
         for tol in (1e-12, 1e-6):
             for depth in depths:
                 filt = CosinePhaseFilter(float(depth), 0.0)
                 assert (truncation_for(filt, tol).max_order
                         == two_stage_cutoff(filt, tol)), (depth, tol)
+
+    def test_cutoff_near_the_order_limit(self, shared_tables):
+        # The dropped tail is read against a 1,000-order table and the orders
+        # past it.  Counting only up to a depth + 80 table left out more than
+        # tol/2 at 452.3 (the first 0.1 step whose M moves), 650, 700 and 710,
+        # and refused 750 to 911.9; 911.9 is the last 0.1 step whose tail a
+        # 1,000-order table can hold.
+        depths = np.append(np.linspace(400.0, 900.0, 11), [452.3, 710.0, 911.9])
+        for depth in depths:
+            m = truncation_for(CosinePhaseFilter(float(depth), 0.0)).max_order
+            j = np.abs(shared_tables(float(depth), 1000).values)
+            past = np.abs(jv(np.arange(1001, 1101), depth))
+            assert 2.0 * (np.sum(j[m + 1:]) + np.sum(past)) <= 0.5e-12, depth
+        with pytest.raises(ParameterError, match="too large for series truncation"):
+            truncation_for(CosinePhaseFilter(912.0, 0.0))
 
     def test_bad_tolerance_rejected(self):
         with pytest.raises(ParameterError):
@@ -155,6 +179,60 @@ class TestAmplitude:
         filt = CosinePhaseFilter(2.0, 1000.0)
         a = amplitude_series(params, filt, truncation_for(filt), 1000.0)
         assert abs(a) == pytest.approx(0.576725, abs=1e-3)
+
+
+class TestBlockedComb:
+    """amplitude_series, in blocks and pruned, against the one-matrix comb."""
+
+    @pytest.mark.parametrize("depth,beta,tau", [
+        (2.0, 50.0, 123.0),                                      # scalar
+        (2.0, 50.0, np.array(-40.0)),                            # 0-d
+        (2.0, 50.0, np.linspace(-900, 900, 3 * 700).reshape(3, 700)),
+        (2.0, 50.0, np.random.default_rng(5).permutation(np.linspace(-900, 900, 2500))),
+        (2.0, 50.0, np.array([7.0])),
+        (2.0, 50.0, np.linspace(-900, 900, _TAU_BLOCK - 1)),
+        (2.0, 50.0, np.linspace(-900, 900, _TAU_BLOCK)),
+        (2.0, 50.0, np.linspace(-900, 900, _TAU_BLOCK + 1)),
+        (2.0, 50.0, np.linspace(-900, 900, 3 * _TAU_BLOCK + 17)),
+        (0.0, 50.0, np.linspace(-900, 900, 1500)),
+        (5.0, 0.0, np.linspace(-900, 900, 1500)),
+        (10.0, 1000.0, np.linspace(-3500, 3500, 14001)),        # pruning bites
+        (10.0, 1000.0, np.random.default_rng(6).uniform(-40000, 40000, 3000)),
+        (10.0, 1000.0, np.array([-2e4, np.nan, 3e4, np.inf, -np.inf])),
+    ])
+    def test_matches_dense_comb(self, params, depth, beta, tau):
+        filt = CosinePhaseFilter(depth, beta)
+        trunc = truncation_for(filt)
+        got = amplitude_series(params, filt, trunc, tau)
+        want = dense_comb(params, filt, trunc, tau)
+        assert np.shape(got) == np.shape(tau)
+        if np.ndim(tau) == 0:
+            assert isinstance(got, complex)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("offset", [-1.0, 1.0])
+    def test_block_far_from_every_lobe_is_exactly_zero(self, params, offset):
+        # depth 10 has lobes out to 31 beta = 31,000 fs; every order is over
+        # 28 T ~ 7,250 fs from these blocks, so none is evaluated
+        filt = CosinePhaseFilter(10.0, 1000.0)
+        taus = offset * np.linspace(40_000.0, 60_000.0, 2 * _TAU_BLOCK + 3)
+        got = amplitude_series(params, filt, truncation_for(filt), taus)
+        assert got.shape == taus.shape
+        assert np.array_equal(got, np.zeros(taus.size, dtype=complex))
+
+    def test_memory_is_bounded(self, params):
+        # a dense comb over these 100,000 delays x 63 orders traces ~203 MB
+        filt = CosinePhaseFilter(10.0, 713.0)
+        trunc = truncation_for(filt)
+        half = series_halfwidth(params, filt, trunc)
+        taus = np.linspace(-half, half, 100_000)
+        tracemalloc.start()
+        try:
+            count_rate(params, filt, trunc, taus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
 
 class TestCountRate:
