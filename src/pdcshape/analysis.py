@@ -16,12 +16,13 @@ from .errors import (
 )
 from .model import (
     _MAX_COMB_CELLS,
+    _TAU_BLOCK,
     CorrelationCurve,
     CosinePhaseFilter,
     PhysicalParams,
     SeriesTruncation,
+    amplitude_comb,
     characteristic_time,
-    count_rate,
     series_halfwidth,
     truncation_for,
 )
@@ -32,6 +33,11 @@ _RATE_TIE = 1e-12  # rates closer than this are treated as tied
 # (`tau-max --alpha 2 --beta 1000` has 65,177 x 31 cells).  fig2 sweeps 501
 # modulation frequencies.
 _MAX_SWEEP_STEPS = 100_000
+# Scan-grid delays (2n + 1 a beta) of the betas that sweep_beta searches in
+# lockstep at once; a group holds at least one beta.
+_SWEEP_DELAYS = 2**18
+# Filled scan delays evaluated at once, in whole comb blocks.
+_FILL_DELAYS = 2**14
 
 
 @dataclass
@@ -76,11 +82,35 @@ class LobeReport:
     threshold: float
 
 
-def _best_index(xs: np.ndarray, ys: np.ndarray) -> int:
-    """Argmax with ties (within _RATE_TIE) broken by smallest |x|, then negative x."""
-    cand = np.nonzero(ys >= np.max(ys) - _RATE_TIE)[0]
-    order = np.lexsort((np.sign(xs[cand]), np.abs(xs[cand])))
-    return int(cand[order[0]])
+def _batches(sizes, limit: int):
+    """Consecutive [start, stop) ranges of sizes, each at most limit in all or one item."""
+    ends = np.cumsum(sizes)
+    start = 0
+    while start < ends.size:
+        base = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + limit, side="right")))
+        yield start, stop
+        start = stop
+
+
+def _pick(seg: np.ndarray, x: np.ndarray, y: np.ndarray, count: int) -> np.ndarray:
+    """For rows sorted by segment 0..count-1 (none empty), the row of each
+    segment's largest y; rates within _RATE_TIE of it tie and go to the
+    smallest |x|, then to negative x."""
+    top = np.full(count, -np.inf)
+    np.maximum.at(top, seg, y)
+    cand = np.flatnonzero(y >= top[seg] - _RATE_TIE)
+    if cand.size > count:  # a tie: order each segment's candidates
+        cand = cand[np.lexsort((np.sign(x[cand]), np.abs(x[cand]), seg[cand]))]
+        cand = cand[np.searchsorted(seg[cand], np.arange(count))]
+    return cand
+
+
+def _rates(params: PhysicalParams, trunc: SeriesTruncation, betas: np.ndarray,
+           counts: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """|A|^2 of amplitude_comb's runs, as count_rate squares an array of them."""
+    rates = np.abs(amplitude_comb(params, trunc, betas, counts, taus))
+    return np.multiply(rates, rates, out=rates)
 
 
 def _require_resolution(step: float, T: float) -> None:
@@ -89,61 +119,9 @@ def _require_resolution(step: float, T: float) -> None:
         raise ResolutionError(f"grid step {step:g} fs is coarser than T/20 = {T / 20.0:g} fs")
 
 
-def _scan_peak(params: PhysicalParams, filt: CosinePhaseFilter,
-               trunc: SeriesTruncation, n: int, grid_step: float) -> int:
-    """The k in [-n, n] that _best_index picks from the rates at k*grid_step.
-
-    The grid is not evaluated whole.  The rate is taken on every s-th point,
-    s = max(1, int(T / (8 grid_step))) but at most 2n, and on both ends, and
-    its curvature is bounded exactly: with C = sum |J_m(depth)| over the kept
-    orders, |A| <= C, |g'| <= sqrt(2/e)/T and |g''| <= 2/T^2 for each
-    Gaussian g, so |d^2 |A|^2 / d tau^2| <= K = (4 + 4/e) C^2 / T^2, and on a
-    coarse gap of width w the rate is at most the larger end rate plus
-    K w^2 / 8.  Only the gaps whose bound reaches the coarse best minus two
-    tie margins (one absorbs rounding) are filled in.  Every grid point that
-    could win or tie is therefore evaluated, and the pick is the full grid's.
-    Where K is loose (large depth) every gap is filled, which is the full
-    grid and no more.
-    """
-    T = characteristic_time(params)
-    s = max(1, int(min(T / (8.0 * grid_step), 2 * n)))
-    ks = np.append(np.arange(-n, n, s), n)
-    rates = np.asarray(count_rate(params, filt, trunc, ks * grid_step))
-    curvature = (4.0 + 4.0 / math.e) * (np.sum(np.abs(trunc.coefficients)) / T) ** 2
-    reach = (np.maximum(rates[:-1], rates[1:])
-             + curvature * (np.diff(ks) * grid_step) ** 2 / 8.0)
-    gaps = np.nonzero(reach >= np.max(rates) - 2.0 * _RATE_TIE)[0]
-    inner = (ks[gaps, None] + np.arange(1, s)).ravel()
-    inner = inner[inner < n]  # the last gap may be shorter than s
-    ks = np.concatenate([ks, inner])
-    rates = np.concatenate([rates, count_rate(params, filt, trunc, inner * grid_step)])
-    return int(ks[_best_index(ks * grid_step, rates)])
-
-
-def find_tau_max(params: PhysicalParams, filt: CosinePhaseFilter,
-                 search_halfwidth: float | None = None, grid_step: float = 0.5,
-                 refine_tol: float = 0.01,
-                 trunc: SeriesTruncation | None = None) -> TauMaxResult:
-    """Locate the delay of maximum coincidence rate.
-
-    The maximum is bracketed on the symmetric grid k*grid_step, |k| <= n
-    (always containing tau = 0), by the argmax of _best_index: rate ties
-    within 1e-12 go to the smallest |tau| and then to negative tau.
-    _scan_peak finds that argmax exactly while evaluating only the grid
-    points that an exact curvature bound cannot rule out (about 380 of 8,200
-    at depth 2).  The bracket is then refined by repeated 9-point bracketing
-    plus a final parabolic fit down to refine_tol.  The default window
-    series_halfwidth covers every series lobe; if the grid argmax is a window
-    end the window was too small and a SearchError is raised.  A grid_step
-    above T/20 cannot resolve the rate and raises a ResolutionError.
-    """
-    if not 0 < grid_step <= 1.0:
-        raise ParameterError("grid_step must be in (0, 1] fs")
-    if not 0 < refine_tol <= 0.01:
-        raise ParameterError("refine_tol must be in (0, 0.01] fs")
-    _require_resolution(grid_step, characteristic_time(params))
-    if trunc is None:
-        trunc = truncation_for(filt)
+def _scan_size(params: PhysicalParams, filt: CosinePhaseFilter, trunc: SeriesTruncation,
+               search_halfwidth: float | None, grid_step: float) -> int:
+    """The n of filt's scan grid k*grid_step, |k| <= n, checked against the cell cap."""
     if search_halfwidth is None:
         search_halfwidth = series_halfwidth(params, filt, trunc)
     if search_halfwidth <= grid_step:
@@ -154,45 +132,213 @@ def find_tau_max(params: PhysicalParams, filt: CosinePhaseFilter,
             f"the peak scan over +-{search_halfwidth:g} fs in {grid_step:g} fs steps needs "
             f"{scan_cells:.3g} delay x order cells, over the cap of {_MAX_COMB_CELLS}; "
             "shrink the search window")
+    return math.ceil(search_halfwidth / grid_step)
 
-    n = math.ceil(search_halfwidth / grid_step)
-    k = _scan_peak(params, filt, trunc, n, grid_step)
-    tau = k * grid_step
-    if abs(k) == n:
-        raise SearchError(
-            f"rate maximum at the window edge (tau = {tau} fs); widen search_halfwidth")
 
-    lo, hi = tau - grid_step, tau + grid_step
+def _scan_peak(params: PhysicalParams, trunc: SeriesTruncation, betas: np.ndarray,
+               ns: np.ndarray, grid_step: float) -> np.ndarray:
+    """For each betas[i], the k in [-ns[i], ns[i]] that the tie rule picks
+    from the rates at k*grid_step.
+
+    No grid is evaluated whole.  The rate is taken on every s-th point,
+    s = max(1, int(T / (8 grid_step))) but at most 2n, and on both ends, and
+    its curvature is bounded exactly: with C = sum |J_m(depth)| over the kept
+    orders, |A| <= C, |g'| <= sqrt(2/e)/T and |g''| <= 2/T^2 for each
+    Gaussian g, so |d^2 |A|^2 / d tau^2| <= K = (4 + 4/e) C^2 / T^2, and on a
+    coarse gap of width w the rate is at most the larger end rate plus
+    K w^2 / 8.  Only the gaps whose bound reaches the beta's coarse best minus
+    two tie margins (one absorbs rounding) are filled in.  Every grid point
+    that could win or tie is therefore evaluated, and the pick is the full
+    grid's.  Where K is loose (large depth) every gap is filled, which is the
+    full grid and no more.  The coarse points of every beta are one comb call;
+    the fills follow in calls of at most _FILL_DELAYS delays.
+    """
+    T = characteristic_time(params)
+    curvature = (4.0 + 4.0 / math.e) * (np.sum(np.abs(trunc.coefficients)) / T) ** 2
+    s = np.maximum(1, np.minimum(T / (8.0 * grid_step), 2 * ns).astype(np.int64))
+    counts = (2 * ns + s - 1) // s + 1  # arange(-n, n, s), then n
+    run = np.repeat(np.arange(betas.size), counts)
+    ends = np.cumsum(counts)
+    ks = (np.arange(run.size) - (ends - counts)[run]) * s[run] - ns[run]
+    ks[ends - 1] = ns
+    rates = _rates(params, trunc, betas, counts, ks * grid_step)
+    top = np.maximum.reduceat(rates, ends - counts)
+    reach = (np.maximum(rates[:-1], rates[1:])
+             + curvature * (np.diff(ks) * grid_step) ** 2 / 8.0)
+    gaps = np.flatnonzero((reach >= (top - 2.0 * _RATE_TIE)[run[:-1]])
+                          & (run[:-1] == run[1:]))
+    inner = ks[gaps + 1] - ks[gaps] - 1  # the last gap may be shorter than s
+    # the fill rows of all betas in gap order: gap g fills ks[g] + 1 .. ks[g + 1] - 1
+    gap_ends = np.cumsum(inner)
+    gap_first = ks[gaps] + 1 - (gap_ends - inner)  # k = gap_first + row
+    fills = np.bincount(run[gaps], weights=inner, minlength=betas.size).astype(np.int64)
+    ends = np.cumsum(fills)
+    begins = ends - fills
+    # candidates: every row within a tie of its beta's best so far, a superset
+    # of those within a tie of its final best
+    keep = rates >= (top - _RATE_TIE)[run]
+    cand = [(ks[keep], rates[keep], run[keep])]
+    lo = 0
+    while lo < ends[-1]:
+        # rows lo .. hi - 1 end on a comb block of the last beta they reach, so
+        # that every beta's fill is cut into the blocks of one comb call
+        hi = min(lo + _FILL_DELAYS, ends[-1])
+        first, last = np.searchsorted(ends, [lo, hi - 1], side="right")
+        if hi < ends[last]:
+            hi = begins[last] + (hi - begins[last]) // _TAU_BLOCK * _TAU_BLOCK
+        g0, g1 = np.searchsorted(gap_ends, [lo, hi - 1], side="right")
+        ge, gi = gap_ends[g0:g1 + 1], inner[g0:g1 + 1]
+        k = np.repeat(gap_first[g0:g1 + 1],
+                      np.minimum(ge, hi) - np.maximum(ge - gi, lo)) + np.arange(lo, hi)
+        counts = np.minimum(ends[first:last + 1], hi) - np.maximum(begins[first:last + 1], lo)
+        y = _rates(params, trunc, betas[first:last + 1], counts, k * grid_step)
+        r = np.repeat(np.arange(first, last + 1), counts)
+        np.maximum.at(top, r, y)
+        keep = y >= top[r] - _RATE_TIE
+        cand.append((k[keep], y[keep], r[keep]))
+        lo = hi
+    k, y, r = (np.concatenate(c) for c in zip(*cand))
+    order = np.argsort(r, kind="stable")
+    k, y, r = k[order], y[order], r[order]
+    return k[_pick(r, k * grid_step, y, betas.size)]
+
+
+def _linspace9(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """np.linspace(lo[i], hi[i], 9) in row i, value for value."""
+    delta = hi - lo
+    step = delta / 8
+    xs = np.arange(9.0) * step[:, None]
+    if not step.all():  # linspace's rule for a step that underflows to 0
+        zero = step == 0
+        xs[zero] = np.arange(9.0) / 8 * delta[zero, None]
+    xs += lo[:, None]
+    xs[:, 8] = hi
+    return xs
+
+
+def _peak_search(params: PhysicalParams, trunc: SeriesTruncation, betas: np.ndarray,
+                 ns: np.ndarray, grid_step: float, refine_tol: float,
+                 name_beta: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """find_tau_max's search for every beta in lockstep: tau_max, rate_at_max
+    and refinement_width arrays.
+
+    Four phases, each over all betas still searching: _scan_peak's coarse
+    scan and its bound and gap fill; each 9-point round; and the parabola
+    vertex.  Every phase evaluates its (beta, delay) rows with amplitude_comb,
+    one run per beta, so each beta gets the values of its own search; the tie
+    rule is one segment-wise lexsort per phase.  A pick on the window edge
+    raises a SearchError for the first such beta, named if name_beta.
+    """
+    ks = _scan_peak(params, trunc, betas, ns, grid_step)
+    edge = np.flatnonzero(np.abs(ks) == ns)
+    if edge.size:
+        i = edge[0]
+        where = f" (at mod_frequency {betas[i]} fs)" if name_beta else ""
+        raise SearchError(f"rate maximum at the window edge (tau = {int(ks[i]) * grid_step} "
+                          f"fs); widen search_halfwidth{where}")
+
+    # 9-point rounds; a beta leaves once a round spans at most refine_tol
+    seg = np.repeat(np.arange(betas.size), 9)
+    left = []  # (index, xs, ys, pick, lo, hi) of the betas that left together
+    index, live = np.arange(betas.size), betas
+    lo, hi = ks * grid_step - grid_step, ks * grid_step + grid_step
     while True:
-        xs = np.linspace(lo, hi, 9)
-        ys = np.asarray(count_rate(params, filt, trunc, xs))
-        j = _best_index(xs, ys)
-        evaluated = hi - lo
-        lo, hi = xs[max(j - 1, 0)], xs[min(j + 1, xs.size - 1)]
-        if evaluated <= refine_tol:
+        xs = _linspace9(lo, hi)
+        ys = _rates(params, trunc, live, np.full(live.size, 9), xs.ravel()).reshape(xs.shape)
+        at = _pick(seg[:xs.size], xs.ravel(), ys.ravel(), live.size)
+        pick, evaluated = at % 9, hi - lo
+        lo, hi = xs.flat[at - (pick > 0)], xs.flat[at + (pick < 8)]
+        done = evaluated <= refine_tol
+        if done.all():
+            left.append((index, xs, ys, pick, lo, hi))
             break
+        if done.any():
+            left.append(tuple(a[done] for a in (index, xs, ys, pick, lo, hi)))
+            index, live, lo, hi = index[~done], live[~done], lo[~done], hi[~done]
+    if len(left) > 1:  # back into beta order
+        order = np.argsort(np.concatenate([part[0] for part in left]))
+        left = [tuple(np.concatenate(a)[order] for a in zip(*left))]
+    _, xs, ys, j, lo, hi = left[0]
 
-    best_x = float(xs[j])
-    best_y = float(ys[j])
-    if 0 < j < xs.size - 1:
-        yl, y0, yr = ys[j - 1], ys[j], ys[j + 1]
-        curv = yl + yr - 2.0 * y0
-        if curv < 0.0:
-            step = xs[j] - xs[j - 1]
-            vertex = xs[j] + 0.5 * step * (yl - yr) / curv
-            vertex = min(max(vertex, lo), hi)
-            y_vertex = float(count_rate(params, filt, trunc, vertex))
-            if y_vertex >= best_y:
-                best_x, best_y = float(vertex), y_vertex
-    return TauMaxResult(tau_max=best_x, rate_at_max=best_y,
-                        refinement_width=float(hi - lo))
+    # the parabola vertex where the pick is a strict interior maximum
+    at = 9 * np.arange(betas.size) + j
+    best_x, best_y = xs.flat[at], ys.flat[at]
+    v = np.flatnonzero((j > 0) & (j < 8))
+    at = at[v]
+    yl, y0, yr = ys.flat[at - 1], ys.flat[at], ys.flat[at + 1]
+    curv = yl + yr - 2.0 * y0
+    bent = curv < 0.0
+    v, at, yl, yr, curv = v[bent], at[bent], yl[bent], yr[bent], curv[bent]
+    vertex = xs.flat[at] + 0.5 * (xs.flat[at] - xs.flat[at - 1]) * (yl - yr) / curv
+    vertex = np.where(lo[v] > vertex, lo[v], vertex)  # min(max(vertex, lo), hi)
+    vertex = np.where(hi[v] < vertex, hi[v], vertex)
+    # find_tau_max rated a lone vertex as a scalar, whose ** 2 is libm's pow,
+    # not the x * x of an array's ** 2; the two differ in the last bit at times
+    y_vertex = np.array([float(a) ** 2 for a in np.abs(
+        amplitude_comb(params, trunc, betas[v], np.ones(v.size, dtype=np.int64), vertex))])
+    better = y_vertex >= best_y[v]
+    best_x[v[better]], best_y[v[better]] = vertex[better], y_vertex[better]
+    return best_x, best_y, hi - lo
+
+
+def find_tau_max(params: PhysicalParams, filt: CosinePhaseFilter,
+                 search_halfwidth: float | None = None, grid_step: float = 0.5,
+                 refine_tol: float = 0.01,
+                 trunc: SeriesTruncation | None = None) -> TauMaxResult:
+    """Locate the delay of maximum coincidence rate.
+
+    The maximum is bracketed on the symmetric grid k*grid_step, |k| <= n
+    (always containing tau = 0), by the grid argmax: rate ties within 1e-12
+    go to the smallest |tau| and then to negative tau.  _scan_peak finds that
+    argmax exactly while evaluating only the grid points that an exact
+    curvature bound cannot rule out (about 380 of 8,200 at depth 2).  The
+    bracket is then refined by repeated 9-point bracketing plus a final
+    parabolic fit down to refine_tol.  The default window series_halfwidth
+    covers every series lobe; if the grid argmax is a window end the window
+    was too small and a SearchError is raised.  A grid_step above T/20 cannot
+    resolve the rate and raises a ResolutionError.
+
+    This is the one-beta case of the lockstep search that sweep_beta runs
+    (_peak_search): its phases (coarse scan, bound and gap fill, each round,
+    vertex) each take one amplitude_comb call, whose blocks and matmuls are
+    those of a call for this beta alone, so a sweep's values are this
+    function's, bit for bit.
+    """
+    _check_steps(params, grid_step, refine_tol)
+    if trunc is None:
+        trunc = truncation_for(filt)
+    n = _scan_size(params, filt, trunc, search_halfwidth, grid_step)
+    if trunc.depth != filt.depth:
+        raise ParameterError(f"truncation is for depth {trunc.depth!r}, not {filt.depth!r}")
+    tau, rate, width = _peak_search(params, trunc, np.array([filt.mod_frequency]),
+                                    np.array([n]), grid_step, refine_tol, name_beta=False)
+    return TauMaxResult(tau_max=float(tau[0]), rate_at_max=float(rate[0]),
+                        refinement_width=float(width[0]))
+
+
+def _check_steps(params: PhysicalParams, grid_step: float, refine_tol: float) -> None:
+    if not 0 < grid_step <= 1.0:
+        raise ParameterError("grid_step must be in (0, 1] fs")
+    if not 0 < refine_tol <= 0.01:
+        raise ParameterError("refine_tol must be in (0, 0.01] fs")
+    _require_resolution(grid_step, characteristic_time(params))
 
 
 def sweep_beta(params: PhysicalParams, alpha: float, beta_start: float,
                beta_end: float, beta_step: float, *,
                search_halfwidth: float | None = None, grid_step: float = 0.5,
                refine_tol: float = 0.01, trunc_tol: float = 1e-12) -> SweepResult:
-    """find_tau_max at each modulation frequency in [beta_start, beta_end]."""
+    """find_tau_max at each modulation frequency in [beta_start, beta_end].
+
+    The betas are searched in lockstep (_peak_search), in consecutive groups
+    whose scan grids (2n + 1 delays each) sum to at most _SWEEP_DELAYS, with at
+    least one beta per group, so memory does not grow with the sweep.  Each
+    phase of a group evaluates all its betas' delays in one amplitude_comb
+    call: every beta is a run of its own, cut into blocks from its own start
+    and given one matmul a block, so each value is the one find_tau_max gives.
+    The first beta that would raise there raises here, a SearchError naming
+    its beta.
+    """
     if not 0 <= beta_start < beta_end:
         raise ParameterError("need 0 <= beta_start < beta_end")
     if beta_step <= 0:
@@ -206,17 +352,22 @@ def sweep_beta(params: PhysicalParams, alpha: float, beta_start: float,
     betas = beta_start + np.arange(count) * beta_step
     # the series depends only on depth, so build it once for the whole sweep
     trunc = truncation_for(CosinePhaseFilter(alpha, 0.0), trunc_tol)
-    tau_maxes = np.empty(count)
-    peak_rates = np.empty(count)
-    for k, b in enumerate(betas):
+    _check_steps(params, grid_step, refine_tol)
+    ns, refused = [], None
+    for b in betas:
         try:
-            res = find_tau_max(params, CosinePhaseFilter(alpha, float(b)),
-                               search_halfwidth=search_halfwidth,
-                               grid_step=grid_step, refine_tol=refine_tol, trunc=trunc)
-        except SearchError as exc:
-            raise SearchError(f"{exc} (at mod_frequency {b} fs)") from exc
-        tau_maxes[k] = res.tau_max
-        peak_rates[k] = res.rate_at_max
+            ns.append(_scan_size(params, CosinePhaseFilter(alpha, float(b)), trunc,
+                                 search_halfwidth, grid_step))
+        except ParameterError as exc:  # raised once the betas before it are searched
+            refused = exc
+            break
+    ns = np.array(ns, dtype=np.int64)
+    tau_maxes, peak_rates = np.empty(count), np.empty(count)
+    for p, q in _batches(2 * ns + 1, _SWEEP_DELAYS):
+        tau_maxes[p:q], peak_rates[p:q], _ = _peak_search(
+            params, trunc, betas[p:q], ns[p:q], grid_step, refine_tol, name_beta=True)
+    if refused is not None:
+        raise refused
     return SweepResult(beta_values=betas, tau_max_values=tau_maxes, rates=peak_rates)
 
 

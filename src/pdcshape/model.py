@@ -198,42 +198,99 @@ def series_halfwidth(params: PhysicalParams, filt: CosinePhaseFilter,
     return trunc.max_order * filt.mod_frequency + 5.0 * characteristic_time(params)
 
 
+def amplitude_comb(params: PhysicalParams, trunc: SeriesTruncation, betas, counts,
+                   taus: np.ndarray) -> np.ndarray:
+    """Bessel-series amplitudes for runs of delays that each carry their own beta.
+
+    The flat delays taus hold one run per mod_frequency betas[r], counts[r]
+    long, in order.  Each run is cut into blocks of _TAU_BLOCK delays from its
+    own start, and a block uses only the run of orders whose lobe centre
+    m*beta lies within R = _LOBE_REACH * T of its [min tau, max tau]: every
+    other term's exp(-s^2) underflows to exactly 0.0 and is skipped, not
+    approximated.  A comb that spans no more than R (2 M beta <= R, which
+    includes beta = 0) keeps every order.  Consecutive blocks of up to
+    _TAU_BLOCK delays in all share one exp(-s^2) evaluation, padded to their
+    widest order run, and then each block takes one complex matmul against
+    its own run's twisted coefficients: a run's values are bit for bit those
+    it gets alone.  The pump twist exp(i m beta omega0 / 2) is formed here
+    only, and a ParameterError refuses it where M beta omega0 / 2 is not
+    finite.
+    """
+    T = characteristic_time(params)
+    omega0 = pump_angular_frequency(params)
+    m, reach = trunc.max_order, _LOBE_REACH * T
+    betas = np.asarray(betas, dtype=float)
+    # blocks [start, stop) of run r at beta, keeping orders first .. first + width - 1
+    blocks = []
+    stop = 0
+    for r, (count, beta) in enumerate(zip(np.asarray(counts).tolist(), betas.tolist())):
+        if not math.isfinite(m * (0.5 * beta * omega0)):  # Python floats overflow quietly
+            raise ParameterError(
+                f"the pump twist M*beta*omega0/2 at M = {m}, beta = {beta:g} fs, omega0 = "
+                f"{omega0:g} rad/fs is not finite; lower beta or the pump frequency")
+        begin, stop = stop, stop + count
+        blocks += [[start, min(start + _TAU_BLOCK, stop), r, beta, -m, 2 * m + 1]
+                   for start in range(begin, stop, _TAU_BLOCK)]
+    pruned = [k for k, block in enumerate(blocks) if 2 * m * block[3] > reach]
+    if pruned:
+        starts = [block[0] for block in blocks]
+        b = np.array([blocks[k][3] for k in pruned])
+        # clipped in float before int; the constant comes first (fmax, fmin)
+        # so that a NaN bound keeps every order
+        low = np.ceil(np.fmin(m + 1, np.fmax(-m, (np.minimum.reduceat(taus, starts)[pruned]
+                                                   - reach) / b))).astype(np.int64)
+        high = np.floor(np.fmax(-m - 1, np.fmin(m, (np.maximum.reduceat(taus, starts)[pruned]
+                                                    + reach) / b))).astype(np.int64)
+        for k, a, w in zip(pruned, low.tolist(), np.maximum(high - low + 1, 0).tolist()):
+            blocks[k][4:] = a, w
+    out = np.empty(taus.size, dtype=complex)
+    twisted = None
+    i = 0
+    while i < len(blocks):
+        # blocks i .. j - 1, up to _TAU_BLOCK delays in all, share one exp
+        lo, j = blocks[i][0], i + 1
+        while j < len(blocks) and blocks[j][1] - lo <= _TAU_BLOCK:
+            j += 1
+        chunk = blocks[i:j]
+        span = np.arange(max(block[5] for block in chunk))
+        # cells past a block's own orders are padding and never read; where
+        # s * s overflows there (or far from every lobe), exp gives the exact 0.0
+        with np.errstate(over="ignore"):
+            if j - i == 1:
+                centres = (chunk[0][4] + span) * chunk[0][3]
+            else:
+                centres = np.repeat(
+                    (np.array([block[4] for block in chunk])[:, None] + span)
+                    * np.array([block[3] for block in chunk])[:, None],
+                    [block[1] - block[0] for block in chunk], axis=0)
+            g = taus[lo:chunk[-1][1], None] - centres
+            g /= T
+            np.multiply(g, g, out=g)
+            np.exp(np.negative(g, out=g), out=g)  # exp(-s * s)
+        r0, r1 = chunk[0][2], chunk[-1][2]
+        if twisted != (r0, r1):
+            twisted = r0, r1
+            coeff = trunc.coefficients * np.exp(
+                1j * trunc.orders * (0.5 * betas[r0:r1 + 1, None] * omega0))
+        for start, stop, r, _, first, w in chunk:
+            np.matmul(g[start - lo:stop - lo, :w], coeff[r - r0, first + m:first + m + w],
+                      out=out[start:stop])
+        i = j
+    return out
+
+
 def amplitude_series(params: PhysicalParams, filt: CosinePhaseFilter,
                      trunc: SeriesTruncation, tau) -> complex | np.ndarray:
     """Bessel-series pair amplitude at delay tau (fs); scalar in, scalar out.
 
-    Normalized so that depth = 0 gives exactly exp(-tau^2/T^2) + 0i.  The
-    delays are taken in blocks of _TAU_BLOCK, so memory stays bounded for any
-    count.  A block uses only the run of orders whose lobe centre m*beta lies
-    within R = _LOBE_REACH * T of its [min tau, max tau]: every other term's
-    exp(-s^2) underflows to exactly 0.0 and is skipped, not approximated.
-    A comb that spans no more than R (2 M beta <= R, which includes beta = 0)
-    keeps every order: no block inside it could skip one.
+    Normalized so that depth = 0 gives exactly exp(-tau^2/T^2) + 0i.  This is
+    amplitude_comb with one run: its blocks bound memory for any delay count.
     """
     if trunc.depth != filt.depth:
         raise ParameterError(f"truncation is for depth {trunc.depth!r}, not {filt.depth!r}")
-    T = characteristic_time(params)
-    omega0 = pump_angular_frequency(params)
-    beta = filt.mod_frequency
-    coeff = trunc.coefficients * np.exp(1j * trunc.orders * (0.5 * beta * omega0))
-    centres = trunc.orders * beta
     taus = np.asarray(tau, dtype=float)
-    flat = taus.ravel()
-    out = np.empty(flat.size, dtype=complex)
-    m, reach = trunc.max_order, _LOBE_REACH * T
-    block_centres, block_coeff = centres, coeff
-    for lo in range(0, flat.size, _TAU_BLOCK):
-        t = flat[lo:lo + _TAU_BLOCK]
-        if 2 * m * beta > reach:
-            # first and last order in reach, clipped in float before int; the
-            # constant comes first so that a NaN bound keeps every order
-            first = math.ceil(min(m + 1, max(-m, (t.min() - reach) / beta)))
-            last = math.floor(max(-m - 1, min(m, (t.max() + reach) / beta)))
-            block_centres = centres[first + m:last + m + 1]
-            block_coeff = coeff[first + m:last + m + 1]
-        s = (t[:, None] - block_centres) / T
-        np.matmul(np.exp(-s * s), block_coeff, out=out[lo:lo + _TAU_BLOCK])
-    out = out.reshape(taus.shape)
+    out = amplitude_comb(params, trunc, [filt.mod_frequency], [taus.size],
+                         taus.ravel()).reshape(taus.shape)
     return complex(out) if out.ndim == 0 else out
 
 

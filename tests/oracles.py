@@ -4,9 +4,9 @@ Everything here is deliberately naive or comes from another library:
 Bessel values from mpmath in 40-digit arithmetic, no Jacobi-Anger identity, a
 dense node-by-node trapezoid sum with no factorization and no level reuse, a
 series comb formed as one delays x orders matrix, a peak scan that evaluates
-every grid delay, SciPy's own peak finder and the
-earlier two-stage series cutoff, so agreement with the package is a real
-cross-check rather than the same algorithm twice.
+every grid delay, a sweep that searches one beta at a time, SciPy's own
+peak finder and the earlier two-stage series cutoff, so agreement with the
+package is a real cross-check rather than the same algorithm twice.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ import mpmath
 import numpy as np
 from scipy.signal import find_peaks, peak_prominences
 
-from pdcshape import characteristic_time, count_rate, pump_angular_frequency
-from pdcshape.analysis import _best_index
+from pdcshape import CosinePhaseFilter, characteristic_time, count_rate, pump_angular_frequency
 from pdcshape.bessel import bessel_j_table
-from pdcshape.errors import ParameterError
+from pdcshape.errors import ParameterError, SearchError
 from pdcshape.quadrature import nu_halfwidth
 
 _DPS = 40
@@ -63,10 +62,73 @@ def dense_comb(params, filt, trunc, tau):
     return np.exp(-shifts * shifts) @ coeff
 
 
+def best_index(xs: np.ndarray, ys: np.ndarray) -> int:
+    """Argmax with ties (within 1e-12) broken by smallest |x|, then negative x."""
+    cand = np.nonzero(ys >= np.max(ys) - 1e-12)[0]
+    order = np.lexsort((np.sign(xs[cand]), np.abs(xs[cand])))
+    return int(cand[order[0]])
+
+
 def dense_peak_scan(params, filt, trunc, n: int, grid_step: float) -> int:
-    """The k in [-n, n] that _best_index picks from the rate at every k*grid_step."""
+    """The k in [-n, n] that best_index picks from the rate at every k*grid_step."""
     taus = np.arange(-n, n + 1) * grid_step
-    return _best_index(taus, np.asarray(count_rate(params, filt, trunc, taus))) - n
+    return best_index(taus, np.asarray(count_rate(params, filt, trunc, taus))) - n
+
+
+def _looped_scan(params, filt, trunc, n: int, grid_step: float) -> int:
+    """dense_peak_scan's pick from a coarse scan and the gaps a curvature bound keeps."""
+    T = characteristic_time(params)
+    s = max(1, int(min(T / (8.0 * grid_step), 2 * n)))
+    ks = np.append(np.arange(-n, n, s), n)
+    rates = np.asarray(count_rate(params, filt, trunc, ks * grid_step))
+    curvature = (4.0 + 4.0 / math.e) * (np.sum(np.abs(trunc.coefficients)) / T) ** 2
+    reach = (np.maximum(rates[:-1], rates[1:])
+             + curvature * (np.diff(ks) * grid_step) ** 2 / 8.0)
+    gaps = np.nonzero(reach >= np.max(rates) - 2e-12)[0]
+    inner = (ks[gaps, None] + np.arange(1, s)).ravel()
+    inner = inner[inner < n]
+    ks = np.concatenate([ks, inner])
+    rates = np.concatenate([rates, count_rate(params, filt, trunc, inner * grid_step)])
+    return int(ks[best_index(ks * grid_step, rates)])
+
+
+def looped_sweep(params, trunc, betas, ns, grid_step: float, refine_tol: float):
+    """(tau_max, rate_at_max, refinement_width) arrays from one peak search per beta.
+
+    Each search scans the grid k*grid_step, |k| <= ns[i], refines the pick by
+    9-point rounds until a round spans at most refine_tol, and takes the
+    parabola vertex when it rates at least the round's best; every rate is
+    its own count_rate call.  A pick on a window end raises the SearchError
+    sweep_beta raises for it.
+    """
+    out = np.empty((3, len(betas)))
+    for i, (beta, n) in enumerate(zip(betas, ns)):
+        filt = CosinePhaseFilter(trunc.depth, float(beta))
+        k = _looped_scan(params, filt, trunc, int(n), grid_step)
+        if abs(k) == n:
+            raise SearchError(f"rate maximum at the window edge (tau = {k * grid_step} fs); "
+                              f"widen search_halfwidth (at mod_frequency {beta} fs)")
+        lo, hi = k * grid_step - grid_step, k * grid_step + grid_step
+        while True:
+            xs = np.linspace(lo, hi, 9)
+            ys = np.asarray(count_rate(params, filt, trunc, xs))
+            j = best_index(xs, ys)
+            evaluated = hi - lo
+            lo, hi = xs[max(j - 1, 0)], xs[min(j + 1, xs.size - 1)]
+            if evaluated <= refine_tol:
+                break
+        best_x, best_y = float(xs[j]), float(ys[j])
+        if 0 < j < xs.size - 1:
+            yl, y0, yr = ys[j - 1], ys[j], ys[j + 1]
+            curv = yl + yr - 2.0 * y0
+            if curv < 0.0:
+                vertex = xs[j] + 0.5 * (xs[j] - xs[j - 1]) * (yl - yr) / curv
+                vertex = min(max(vertex, lo), hi)
+                y_vertex = float(count_rate(params, filt, trunc, vertex))
+                if y_vertex >= best_y:
+                    best_x, best_y = float(vertex), y_vertex
+        out[:, i] = best_x, best_y, hi - lo
+    return out
 
 
 def scipy_peaks(x: np.ndarray, height: float, distance: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import uniform_grid
-from oracles import dense_peak_scan, scipy_peaks
+from oracles import dense_peak_scan, looped_sweep, scipy_peaks
 from pdcshape import (
     CosinePhaseFilter,
     InsufficientDataError,
     ParameterError,
+    PhysicalParams,
     ResolutionError,
     SearchError,
     SweepResult,
@@ -26,7 +28,8 @@ from pdcshape import (
     truncation_for,
 )
 from pdcshape import analysis, model
-from pdcshape.analysis import _find_peaks, _prominences, _scan_peak
+from pdcshape.analysis import _find_peaks, _peak_search, _prominences, _scan_peak, _scan_size
+from pdcshape.model import _TAU_BLOCK
 
 J2 = [0.2238907791, 0.5767248078, 0.3528340286]  # J_0..J_2 at depth 2
 
@@ -91,7 +94,9 @@ class TestPrunedScan:
             search_halfwidth = trunc.max_order * filt.mod_frequency + 5.0 * T
         n = math.ceil(search_halfwidth / grid_step)
         dense = dense_peak_scan(params, filt, trunc, n, grid_step)
-        assert _scan_peak(params, filt, trunc, n, grid_step) == dense
+        picks = _scan_peak(params, trunc, np.array([filt.mod_frequency]), np.array([n]),
+                           grid_step)
+        assert picks.tolist() == [dense]
         return dense, n
 
     @settings(max_examples=30, deadline=None)
@@ -134,21 +139,85 @@ class TestPrunedScan:
             tracemalloc.stop()
         assert peak < 10_000_000
 
+    # the fill evaluated whole, and in comb blocks spread over several calls
+    @pytest.mark.parametrize("fill_delays", [analysis._FILL_DELAYS, _TAU_BLOCK])
+    def test_several_betas_in_one_scan(self, params, T, monkeypatch, fill_delays):
+        monkeypatch.setattr(analysis, "_FILL_DELAYS", fill_delays)
+        trunc = truncation_for(CosinePhaseFilter(6.0, 0.0))
+        betas = np.array([0.0, 48.5, 53.0, 300.0, 750.0])
+        ns = np.array([math.ceil((trunc.max_order * b + 5.0 * T) / 0.5) for b in betas])
+        dense = [dense_peak_scan(params, CosinePhaseFilter(6.0, b), trunc, n, 0.5)
+                 for b, n in zip(betas, ns)]
+        assert _scan_peak(params, trunc, betas, ns, 0.5).tolist() == dense
+
     def test_large_depth_keeps_result_and_evaluates_no_more(self, params, T, monkeypatch):
         # at depth 10 the curvature bound rules out little: every gap is filled
         sizes = []
-        original = analysis.count_rate
+        original = analysis.amplitude_comb
 
         def counting(*args):
-            sizes.append(np.size(args[3]))
+            sizes.append(np.size(args[4]))
             return original(*args)
 
-        monkeypatch.setattr(analysis, "count_rate", counting)  # not the oracle's
+        monkeypatch.setattr(analysis, "amplitude_comb", counting)  # not the oracle's
         filt = CosinePhaseFilter(10.0, 1000.0)
         k, n = self.picks(params, T, filt, 0.5)
         assert sum(sizes) <= 2 * n + 1
         res = find_tau_max(params, filt)
         assert abs(res.tau_max - k * 0.5) <= 0.5
+
+
+class TestLockstepSearch:
+    """Every beta of a lockstep search gets the values of its own search."""
+
+    @staticmethod
+    def windows(params, trunc, betas, grid_step):
+        return np.array([_scan_size(params, CosinePhaseFilter(trunc.depth, float(b)), trunc,
+                                    None, grid_step) for b in betas])
+
+    @settings(max_examples=10, deadline=None)
+    @given(start=st.one_of(st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 990.0)),
+                           st.tuples(st.floats(5.0, 10.0), st.floats(300.0, 990.0))),
+           count=st.integers(1, 3), beta_step=st.sampled_from([0.05, 0.5, 5.0]),
+           grid_step=st.sampled_from([0.25, 0.5]), refine_tol=st.sampled_from([0.005, 0.01]),
+           fill_delays=st.sampled_from([_TAU_BLOCK, 2**14]))
+    def test_bit_equal_to_looped_search(self, params, start, count, beta_step, grid_step,
+                                        refine_tol, fill_delays):
+        depth, beta = start
+        trunc = truncation_for(CosinePhaseFilter(depth, 0.0))
+        betas = beta + np.arange(count) * beta_step
+        ns = self.windows(params, trunc, betas, grid_step)
+        expected = looped_sweep(params, trunc, betas, ns, grid_step, refine_tol)
+        with mock.patch.object(analysis, "_FILL_DELAYS", fill_delays):
+            got = _peak_search(params, trunc, betas, ns, grid_step, refine_tol, name_beta=True)
+        for want, have in zip(expected, got):
+            assert np.array_equal(want, have)
+        for i, b in enumerate(betas):
+            res = find_tau_max(params, CosinePhaseFilter(depth, float(b)), grid_step=grid_step,
+                               refine_tol=refine_tol, trunc=trunc)
+            assert [res.tau_max, res.rate_at_max, res.refinement_width] == expected[:, i].tolist()
+
+    # one beta a group, and the default groups
+    @pytest.mark.parametrize("group", [1, analysis._SWEEP_DELAYS])
+    def test_sweep_groups_match_looped_search(self, params, monkeypatch, group):
+        monkeypatch.setattr(analysis, "_SWEEP_DELAYS", group)
+        sweep = sweep_beta(params, 10.0, 300.0, 301.0, 0.5)
+        trunc = truncation_for(CosinePhaseFilter(10.0, 0.0))
+        ns = self.windows(params, trunc, sweep.beta_values, 0.5)
+        expected = looped_sweep(params, trunc, sweep.beta_values, ns, 0.5, 0.01)
+        assert np.array_equal(sweep.tau_max_values, expected[0])
+        assert np.array_equal(sweep.rates, expected[1])
+
+    def test_first_refusal_wins(self, params):
+        # at this pump the twist M beta omega0 / 2 overflows from beta ~ 4 fs,
+        # and from 9,000 fs the scan is over the cell cap; the overflow at
+        # 1,000 fs comes first in the sweep, as in a search per beta
+        pump = PhysicalParams(1e-12, params.group_velocity, params.beam_param,
+                              params.emission_angle, light_speed=1e300)
+        with pytest.raises(ParameterError, match="pump twist"):
+            sweep_beta(pump, 2.0, 0.0, 9000.0, 1000.0)
+        with pytest.raises(ParameterError, match="shrink the search window"):
+            sweep_beta(params, 2.0, 9000.0, 9500.0, 100.0)
 
 
 class TestSweep:
@@ -188,6 +257,28 @@ class TestSweep:
         sweep = sweep_beta(params, 2.0, 48.0, 53.0, 0.1)
         assert sweep.beta_values.size == 51
         assert len(calls) <= 2
+
+    @pytest.mark.parametrize("alpha,start,end,step", [(2.0, 48.0, 53.0, 0.01),
+                                                      (10.0, 300.0, 305.0, 0.5)])
+    def test_memory_is_bounded(self, params, alpha, start, end, step):
+        tracemalloc.start()
+        try:
+            sweep_beta(params, alpha, start, end, step)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
+    def test_memory_does_not_grow_with_the_sweep(self, params):
+        peaks = []
+        for step in (0.01, 0.0025):  # 501 and 2,001 betas
+            tracemalloc.start()
+            try:
+                sweep_beta(params, 2.0, 48.0, 53.0, step)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 500_000
 
     def test_search_error_carries_offending_beta(self, params):
         with pytest.raises(SearchError, match="mod_frequency 999"):

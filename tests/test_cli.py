@@ -298,6 +298,30 @@ class TestExitCodes:
         assert err.startswith(message)
         assert err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--beta", "1e308", "--points", "3"],
+        ["fig4", "--light-speed", "1e300", "--lambda-nm", "1e-12"],
+        ["lobes", "--light-speed", "1e300", "--lambda-nm", "1e-12"],
+        ["tau-max", "--light-speed", "1e300", "--lambda-nm", "1e-12", "--beta", "50"],
+        ["sweep-beta", "--light-speed", "1e300", "--lambda-nm", "1e-12"],
+        ["fig2", "--light-speed", "1e300", "--lambda-nm", "1e-12"],
+    ], ids=["curve", "fig4", "lobes", "tau-max", "sweep-beta", "fig2"])
+    def test_overflowing_pump_twist_refused(self, tmp_path, capsys, argv):
+        # M beta omega0 / 2 is inf: the series twist would be nan, not a rate
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the pump twist M*beta*omega0/2 at M = ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_finite_pump_twist_served(self, tmp_path):
+        # 15 x 1e306 x omega0 / 2 is still finite
+        out = tmp_path / "x.csv"
+        assert main(["curve", "--beta", "1e306", "--points", "3", "--out", str(out)]) == 0
+        rates = [float(row.split(",")[1]) for row in data_rows(out)]
+        assert len(rates) == 3 and all(0.0 <= r <= 1.0 for r in rates)
+
     def test_usage_error_on_huge_quadrature_budget(self, tmp_path, capsys):
         f = tmp_path / "budget.cfg"
         f.write_text("quad_max_points = 1" + "0" * 400 + "\n")

@@ -22,7 +22,7 @@ from pdcshape import (
     sample_curve,
     truncation_for,
 )
-from pdcshape.model import _TAU_BLOCK, series_halfwidth
+from pdcshape.model import _TAU_BLOCK, amplitude_comb, series_halfwidth
 from pdcshape.quadrature import VALIDATION_DEPTHS
 
 depths = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
@@ -219,6 +219,21 @@ class TestBlockedComb:
         got = amplitude_series(params, filt, truncation_for(filt), taus)
         assert got.shape == taus.shape
         assert np.array_equal(got, np.zeros(taus.size, dtype=complex))
+
+    def test_runs_get_their_own_values(self, params):
+        # runs of several betas share exp evaluations; each must still read
+        # bit for bit what amplitude_series gives it alone: short runs that
+        # share a block's worth of delays, empty runs, pruned runs with
+        # different order windows, and runs of several blocks
+        trunc = truncation_for(CosinePhaseFilter(10.0, 0.0))
+        rng = np.random.default_rng(7)
+        betas = [0.0, 50.0, 300.0, 300.5, 1000.0, 713.0, 999.0, 50.0]
+        runs = [rng.uniform(-3000, 3000, size) for size in
+                (9, 1, 0, 130, 9, 2 * _TAU_BLOCK + 5, 0, 700)]
+        got = amplitude_comb(params, trunc, betas, [r.size for r in runs], np.concatenate(runs))
+        want = [amplitude_series(params, CosinePhaseFilter(10.0, b), trunc, r)
+                for b, r in zip(betas, runs)]
+        assert np.array_equal(got, np.concatenate(want))
 
     def test_memory_is_bounded(self, params):
         # a dense comb over these 100,000 delays x 63 orders traces ~203 MB
