@@ -21,6 +21,7 @@ from .model import (
     CosinePhaseFilter,
     PhysicalParams,
     SeriesTruncation,
+    _batches,
     amplitude_comb,
     characteristic_time,
     series_halfwidth,
@@ -80,17 +81,6 @@ class LobeReport:
 
     lobes: list[Lobe]
     threshold: float
-
-
-def _batches(sizes, limit: int):
-    """Consecutive [start, stop) ranges of sizes, each at most limit in all or one item."""
-    ends = np.cumsum(sizes)
-    start = 0
-    while start < ends.size:
-        base = ends[start - 1] if start else 0
-        stop = max(start + 1, int(np.searchsorted(ends, base + limit, side="right")))
-        yield start, stop
-        start = stop
 
 
 def _pick(seg: np.ndarray, x: np.ndarray, y: np.ndarray, count: int) -> np.ndarray:
@@ -217,8 +207,8 @@ def _linspace9(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _peak_search(params: PhysicalParams, trunc: SeriesTruncation, betas: np.ndarray,
-                 ns: np.ndarray, grid_step: float, refine_tol: float,
-                 name_beta: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 ns: np.ndarray, grid_step: float,
+                 refine_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """find_tau_max's search for every beta in lockstep: tau_max, rate_at_max
     and refinement_width arrays.
 
@@ -227,55 +217,44 @@ def _peak_search(params: PhysicalParams, trunc: SeriesTruncation, betas: np.ndar
     vertex.  Every phase evaluates its (beta, delay) rows with amplitude_comb,
     one run per beta, so each beta gets the values of its own search; the tie
     rule is one segment-wise lexsort per phase.  A pick on the window edge
-    raises a SearchError for the first such beta, named if name_beta.
+    raises a SearchError naming the first such beta.
     """
     ks = _scan_peak(params, trunc, betas, ns, grid_step)
     edge = np.flatnonzero(np.abs(ks) == ns)
     if edge.size:
         i = edge[0]
-        where = f" (at mod_frequency {betas[i]} fs)" if name_beta else ""
         raise SearchError(f"rate maximum at the window edge (tau = {int(ks[i]) * grid_step} "
-                          f"fs); widen search_halfwidth{where}")
+                          f"fs); widen search_halfwidth (at mod_frequency {betas[i]} fs)")
 
-    # 9-point rounds; a beta leaves once a round spans at most refine_tol
-    seg = np.repeat(np.arange(betas.size), 9)
-    left = []  # (index, xs, ys, pick, lo, hi) of the betas that left together
-    index, live = np.arange(betas.size), betas
+    # 9-point rounds over the live betas, each written into its beta's row.  A
+    # beta leaves once its round spans at most refine_tol, or once its new
+    # bracket is no narrower than the round (float resolution): the bracket is
+    # nested in the round, so its width never grows and every beta leaves.
+    rows = np.arange(betas.size)
+    xs, ys, pick = np.empty((betas.size, 9)), np.empty((betas.size, 9)), np.empty_like(rows)
     lo, hi = ks * grid_step - grid_step, ks * grid_step + grid_step
-    while True:
-        xs = _linspace9(lo, hi)
-        ys = _rates(params, trunc, live, np.full(live.size, 9), xs.ravel()).reshape(xs.shape)
-        at = _pick(seg[:xs.size], xs.ravel(), ys.ravel(), live.size)
-        pick, evaluated = at % 9, hi - lo
-        lo, hi = xs.flat[at - (pick > 0)], xs.flat[at + (pick < 8)]
-        done = evaluated <= refine_tol
-        if done.all():
-            left.append((index, xs, ys, pick, lo, hi))
-            break
-        if done.any():
-            left.append(tuple(a[done] for a in (index, xs, ys, pick, lo, hi)))
-            index, live, lo, hi = index[~done], live[~done], lo[~done], hi[~done]
-    if len(left) > 1:  # back into beta order
-        order = np.argsort(np.concatenate([part[0] for part in left]))
-        left = [tuple(np.concatenate(a)[order] for a in zip(*left))]
-    _, xs, ys, j, lo, hi = left[0]
+    seg, live = np.repeat(rows, 9), rows
+    while live.size:
+        x = _linspace9(lo[live], hi[live])
+        y = _rates(params, trunc, betas[live], np.full(live.size, 9), x.ravel()).reshape(x.shape)
+        at = _pick(seg[:x.size], x.ravel(), y.ravel(), live.size)
+        j, span = at % 9, hi[live] - lo[live]
+        xs[live], ys[live], pick[live] = x, y, j
+        lo[live], hi[live] = x.flat[at - (j > 0)], x.flat[at + (j < 8)]
+        live = live[(span > refine_tol) & (hi[live] - lo[live] < span)]
 
     # the parabola vertex where the pick is a strict interior maximum
-    at = 9 * np.arange(betas.size) + j
-    best_x, best_y = xs.flat[at], ys.flat[at]
-    v = np.flatnonzero((j > 0) & (j < 8))
-    at = at[v]
-    yl, y0, yr = ys.flat[at - 1], ys.flat[at], ys.flat[at + 1]
-    curv = yl + yr - 2.0 * y0
+    best_x, best_y = xs[rows, pick], ys[rows, pick]
+    v = np.flatnonzero((pick > 0) & (pick < 8))
+    j = pick[v]
+    yl, yr = ys[v, j - 1], ys[v, j + 1]
+    curv = yl + yr - 2.0 * best_y[v]
     bent = curv < 0.0
-    v, at, yl, yr, curv = v[bent], at[bent], yl[bent], yr[bent], curv[bent]
-    vertex = xs.flat[at] + 0.5 * (xs.flat[at] - xs.flat[at - 1]) * (yl - yr) / curv
+    v, j, yl, yr, curv = v[bent], j[bent], yl[bent], yr[bent], curv[bent]
+    vertex = xs[v, j] + 0.5 * (xs[v, j] - xs[v, j - 1]) * (yl - yr) / curv
     vertex = np.where(lo[v] > vertex, lo[v], vertex)  # min(max(vertex, lo), hi)
     vertex = np.where(hi[v] < vertex, hi[v], vertex)
-    # find_tau_max rated a lone vertex as a scalar, whose ** 2 is libm's pow,
-    # not the x * x of an array's ** 2; the two differ in the last bit at times
-    y_vertex = np.array([float(a) ** 2 for a in np.abs(
-        amplitude_comb(params, trunc, betas[v], np.ones(v.size, dtype=np.int64), vertex))])
+    y_vertex = _rates(params, trunc, betas[v], np.ones(v.size, dtype=np.int64), vertex)
     better = y_vertex >= best_y[v]
     best_x[v[better]], best_y[v[better]] = vertex[better], y_vertex[better]
     return best_x, best_y, hi - lo
@@ -293,7 +272,9 @@ def find_tau_max(params: PhysicalParams, filt: CosinePhaseFilter,
     argmax exactly while evaluating only the grid points that an exact
     curvature bound cannot rule out (about 380 of 8,200 at depth 2).  The
     bracket is then refined by repeated 9-point bracketing plus a final
-    parabolic fit down to refine_tol.  The default window series_halfwidth
+    parabolic fit.  refine_tol is a target: refinement also stops where the
+    bracket no longer narrows at float resolution, and refinement_width is
+    the width reached.  The default window series_halfwidth
     covers every series lobe; if the grid argmax is a window end the window
     was too small and a SearchError is raised.  A grid_step above T/20 cannot
     resolve the rate and raises a ResolutionError.
@@ -311,7 +292,7 @@ def find_tau_max(params: PhysicalParams, filt: CosinePhaseFilter,
     if trunc.depth != filt.depth:
         raise ParameterError(f"truncation is for depth {trunc.depth!r}, not {filt.depth!r}")
     tau, rate, width = _peak_search(params, trunc, np.array([filt.mod_frequency]),
-                                    np.array([n]), grid_step, refine_tol, name_beta=False)
+                                    np.array([n]), grid_step, refine_tol)
     return TauMaxResult(tau_max=float(tau[0]), rate_at_max=float(rate[0]),
                         refinement_width=float(width[0]))
 
@@ -365,7 +346,7 @@ def sweep_beta(params: PhysicalParams, alpha: float, beta_start: float,
     tau_maxes, peak_rates = np.empty(count), np.empty(count)
     for p, q in _batches(2 * ns + 1, _SWEEP_DELAYS):
         tau_maxes[p:q], peak_rates[p:q], _ = _peak_search(
-            params, trunc, betas[p:q], ns[p:q], grid_step, refine_tol, name_beta=True)
+            params, trunc, betas[p:q], ns[p:q], grid_step, refine_tol)
     if refused is not None:
         raise refused
     return SweepResult(beta_values=betas, tau_max_values=tau_maxes, rates=peak_rates)

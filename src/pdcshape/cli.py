@@ -40,9 +40,30 @@ _PRESETS: dict[str, dict] = {
 }
 
 
+# Every command takes the same flags; each line here is its --help entry.
+_COMMANDS = {
+    "params": "echo the resolved configuration",
+    "curve": "rate against signal-idler delay",
+    "sweep-beta": "peak delay against modulation frequency",
+    "tau-max": "locate the rate maximum",
+    "lobes": "detect lobes of the rate curve",
+    "validate": "cross-check series against direct quadrature",
+    "fig2": "preset: depth-2 sweep, 48..53 fs in 0.01 fs steps",
+    "fig3": "preset: depth families 0/2/10 at 50 fs and 53 fs",
+    "fig4": "preset: depth-2 curves at 50/300/1000 fs",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    g = common.add_argument_group("model")
+    parser = argparse.ArgumentParser(
+        prog="pdcshape",
+        description="Coincidence-rate curves for phase-filtered degenerate photon pairs.",
+        epilog="commands:\n" + "\n".join(f"  {name:<12}{text}"
+                                          for name, text in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=_COMMANDS, metavar="command",
+                        help="one of the commands below")
+    g = parser.add_argument_group("model")
     g.add_argument("--alpha", type=float, help="filter modulation depth, rad")
     g.add_argument("--beta", type=float, help="filter modulation frequency, fs")
     g.add_argument("--lambda-nm", type=float, dest="lambda_nm", help="pump wavelength, nm")
@@ -51,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pump transverse Gaussian parameter, um")
     g.add_argument("--theta-deg", type=float, dest="theta_deg", help="emission angle, degrees")
     g.add_argument("--light-speed", type=float, dest="light_speed", help="vacuum light speed, m/s")
-    r = common.add_argument_group("run")
+    r = parser.add_argument_group("run")
     r.add_argument("--tau-min", type=float, dest="tau_min", help="delay grid start, fs")
     r.add_argument("--tau-max", type=float, dest="tau_max", help="delay grid end, fs")
     r.add_argument("--points", type=int, help="delay grid point count")
@@ -61,25 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--beta-step", type=float, dest="beta_step", help="sweep step, fs")
     r.add_argument("--config", type=Path, help="key = value config file")
     r.add_argument("--out", type=Path, help="output CSV path (default <command>.csv)")
-
-    parser = argparse.ArgumentParser(
-        prog="pdcshape",
-        description="Coincidence-rate curves for phase-filtered degenerate photon pairs.")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    sub.add_parser("params", parents=[common], help="echo the resolved configuration")
-    sub.add_parser("curve", parents=[common], help="rate against signal-idler delay")
-    sub.add_parser("sweep-beta", parents=[common],
-                   help="peak delay against modulation frequency")
-    sub.add_parser("tau-max", parents=[common], help="locate the rate maximum")
-    sub.add_parser("lobes", parents=[common], help="detect lobes of the rate curve")
-    sub.add_parser("validate", parents=[common],
-                   help="cross-check series against direct quadrature")
-    sub.add_parser("fig2", parents=[common],
-                   help="preset: depth-2 sweep, 48..53 fs in 0.01 fs steps")
-    sub.add_parser("fig3", parents=[common],
-                   help="preset: depth families 0/2/10 at 50 fs and 53 fs")
-    sub.add_parser("fig4", parents=[common],
-                   help="preset: depth-2 curves at 50/300/1000 fs")
     return parser
 
 

@@ -198,6 +198,17 @@ def series_halfwidth(params: PhysicalParams, filt: CosinePhaseFilter,
     return trunc.max_order * filt.mod_frequency + 5.0 * characteristic_time(params)
 
 
+def _batches(sizes, limit: int):
+    """Consecutive [start, stop) ranges of sizes, each at most limit in all or one item."""
+    ends = np.cumsum(sizes)
+    start = 0
+    while start < ends.size:
+        base = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + limit, side="right")))
+        yield start, stop
+        start = stop
+
+
 def amplitude_comb(params: PhysicalParams, trunc: SeriesTruncation, betas, counts,
                    taus: np.ndarray) -> np.ndarray:
     """Bessel-series amplitudes for runs of delays that each carry their own beta.
@@ -245,13 +256,10 @@ def amplitude_comb(params: PhysicalParams, trunc: SeriesTruncation, betas, count
             blocks[k][4:] = a, w
     out = np.empty(taus.size, dtype=complex)
     twisted = None
-    i = 0
-    while i < len(blocks):
+    for i, j in _batches([block[1] - block[0] for block in blocks], _TAU_BLOCK):
         # blocks i .. j - 1, up to _TAU_BLOCK delays in all, share one exp
-        lo, j = blocks[i][0], i + 1
-        while j < len(blocks) and blocks[j][1] - lo <= _TAU_BLOCK:
-            j += 1
         chunk = blocks[i:j]
+        lo = chunk[0][0]
         span = np.arange(max(block[5] for block in chunk))
         # cells past a block's own orders are padding and never read; where
         # s * s overflows there (or far from every lobe), exp gives the exact 0.0
@@ -275,7 +283,6 @@ def amplitude_comb(params: PhysicalParams, trunc: SeriesTruncation, betas, count
         for start, stop, r, _, first, w in chunk:
             np.matmul(g[start - lo:stop - lo, :w], coeff[r - r0, first + m:first + m + w],
                       out=out[start:stop])
-        i = j
     return out
 
 
@@ -297,8 +304,8 @@ def amplitude_series(params: PhysicalParams, filt: CosinePhaseFilter,
 def count_rate(params: PhysicalParams, filt: CosinePhaseFilter,
                trunc: SeriesTruncation, tau) -> float | np.ndarray:
     """Normalized coincidence rate |A(tau)|^2; equals exp(-2 tau^2/T^2) at depth 0."""
-    a = amplitude_series(params, filt, trunc, tau)
-    out = np.abs(np.asarray(a)) ** 2
+    out = np.abs(np.asarray(amplitude_series(params, filt, trunc, tau)))
+    out = out * out  # not ** 2, which is pow for a 0-d input
     return float(out) if out.ndim == 0 else out
 
 

@@ -96,10 +96,10 @@ def looped_sweep(params, trunc, betas, ns, grid_step: float, refine_tol: float):
     """(tau_max, rate_at_max, refinement_width) arrays from one peak search per beta.
 
     Each search scans the grid k*grid_step, |k| <= ns[i], refines the pick by
-    9-point rounds until a round spans at most refine_tol, and takes the
-    parabola vertex when it rates at least the round's best; every rate is
-    its own count_rate call.  A pick on a window end raises the SearchError
-    sweep_beta raises for it.
+    9-point rounds until a round spans at most refine_tol or its new bracket
+    is no narrower than the round, and takes the parabola vertex when it
+    rates at least the round's best; every rate is its own count_rate call.
+    A pick on a window end raises the SearchError sweep_beta raises for it.
     """
     out = np.empty((3, len(betas)))
     for i, (beta, n) in enumerate(zip(betas, ns)):
@@ -115,7 +115,7 @@ def looped_sweep(params, trunc, betas, ns, grid_step: float, refine_tol: float):
             j = best_index(xs, ys)
             evaluated = hi - lo
             lo, hi = xs[max(j - 1, 0)], xs[min(j + 1, xs.size - 1)]
-            if evaluated <= refine_tol:
+            if evaluated <= refine_tol or hi - lo >= evaluated:
                 break
         best_x, best_y = float(xs[j]), float(ys[j])
         if 0 < j < xs.size - 1:

@@ -60,9 +60,18 @@ class TestFindTauMax:
         assert res.rate_at_max >= count_rate(params, standard_filter, trunc,
                                              res.tau_max + w)
 
+    def test_refinement_ends_at_float_resolution(self, params):
+        # no bracket narrows to 5e-324 fs away from tau = 0; each search ends
+        # where its bracket stops narrowing, and a sweep gives the same values
+        sweep = sweep_beta(params, 2.0, 0.0, 50.0, 50.0, refine_tol=5e-324)
+        for beta, tau, rate in zip(sweep.beta_values, sweep.tau_max_values, sweep.rates):
+            res = find_tau_max(params, CosinePhaseFilter(2.0, float(beta)), refine_tol=5e-324)
+            assert [res.tau_max, res.rate_at_max] == [tau, rate]
+            assert res.refinement_width <= 2.0 * np.spacing(abs(res.tau_max))
+
     def test_window_clipping_raises(self, params):
         # +-800 fs window slices the rising flank toward the +-1000 fs lobes
-        with pytest.raises(SearchError):
+        with pytest.raises(SearchError, match="mod_frequency 1000"):
             find_tau_max(params, CosinePhaseFilter(2.0, 1000.0),
                          search_halfwidth=800.0)
 
@@ -189,7 +198,7 @@ class TestLockstepSearch:
         ns = self.windows(params, trunc, betas, grid_step)
         expected = looped_sweep(params, trunc, betas, ns, grid_step, refine_tol)
         with mock.patch.object(analysis, "_FILL_DELAYS", fill_delays):
-            got = _peak_search(params, trunc, betas, ns, grid_step, refine_tol, name_beta=True)
+            got = _peak_search(params, trunc, betas, ns, grid_step, refine_tol)
         for want, have in zip(expected, got):
             assert np.array_equal(want, have)
         for i, b in enumerate(betas):

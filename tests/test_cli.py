@@ -398,3 +398,18 @@ def test_console_entry_point(tmp_path):
     # scipy.signal would add ~1 s and ~50 MB to every command's start
     assert "scipy.special" in proc.stderr
     assert "scipy.signal" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["tau-max", "--beta", "50"],
+    ["sweep-beta", "--beta-start", "49.9", "--beta-end", "50.1", "--beta-step", "0.1"],
+])
+def test_refine_tol_below_float_resolution_ends(tmp_path, argv):
+    # the bracket around tau_max = -41.85 fs at beta 50 fs stops narrowing at
+    # that delay's float spacing, 7.1e-15 fs, far above this refine_tol
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text("refine_tol = 1e-17\n")
+    proc = subprocess.run([sys.executable, "-m", "pdcshape", *argv, "--config", str(cfg),
+                           "--out", str(tmp_path / "o.csv")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -287,6 +287,13 @@ class TestCountRate:
         r2 = count_rate(params, filt, doubled, taus)
         assert np.max(np.abs(r1 - r2)) <= 1e-10
 
+    def test_lone_delay_squared_as_in_an_array(self, params, no_filter):
+        # a 0-d |A| is squared as x * x too, not by pow, which can differ in the last bit
+        trunc = truncation_for(no_filter)
+        taus = np.random.default_rng(2).uniform(-1000.0, 1000.0, 1000)
+        assert ([count_rate(params, no_filter, trunc, float(t)) for t in taus]
+                == [count_rate(params, no_filter, trunc, np.array([t]))[0] for t in taus])
+
     def test_truncation_of_another_depth_refused(self, params):
         # the truncation carries its depth's coefficients, so using it for
         # another depth would silently give a wrong amplitude
