@@ -16,7 +16,6 @@ from .errors import (
 )
 from .model import (
     _MAX_COMB_CELLS,
-    _TAU_BLOCK,
     CorrelationCurve,
     CosinePhaseFilter,
     PhysicalParams,
@@ -37,7 +36,9 @@ _MAX_SWEEP_STEPS = 100_000
 # Scan-grid delays (2n + 1 a beta) of the betas that sweep_beta searches in
 # lockstep at once; a group holds at least one beta.
 _SWEEP_DELAYS = 2**18
-# Filled scan delays evaluated at once, in whole comb blocks.
+# Filled scan delays evaluated at once: the fills of whole betas, or one beta's
+# fill in pieces this long from its own first row (a multiple of the comb's
+# block, so the pieces keep the blocks of the whole fill).
 _FILL_DELAYS = 2**14
 
 
@@ -84,16 +85,14 @@ class LobeReport:
 
 
 def _pick(seg: np.ndarray, x: np.ndarray, y: np.ndarray, count: int) -> np.ndarray:
-    """For rows sorted by segment 0..count-1 (none empty), the row of each
-    segment's largest y; rates within _RATE_TIE of it tie and go to the
-    smallest |x|, then to negative x."""
+    """For rows in any order with segments 0..count-1 (none empty), the row of
+    each segment's largest y; rates within _RATE_TIE of it tie and go to the
+    smallest |x|, then to negative x, then to the earliest row."""
     top = np.full(count, -np.inf)
     np.maximum.at(top, seg, y)
     cand = np.flatnonzero(y >= top[seg] - _RATE_TIE)
-    if cand.size > count:  # a tie: order each segment's candidates
-        cand = cand[np.lexsort((np.sign(x[cand]), np.abs(x[cand]), seg[cand]))]
-        cand = cand[np.searchsorted(seg[cand], np.arange(count))]
-    return cand
+    cand = cand[np.lexsort((np.sign(x[cand]), np.abs(x[cand]), seg[cand]))]
+    return cand[np.searchsorted(seg[cand], np.arange(count))]
 
 
 def _rates(params: PhysicalParams, trunc: SeriesTruncation, betas: np.ndarray,
@@ -140,8 +139,11 @@ def _scan_peak(params: PhysicalParams, trunc: SeriesTruncation, betas: np.ndarra
     two tie margins (one absorbs rounding) are filled in.  Every grid point
     that could win or tie is therefore evaluated, and the pick is the full
     grid's.  Where K is loose (large depth) every gap is filled, which is the
-    full grid and no more.  The coarse points of every beta are one comb call;
-    the fills follow in calls of at most _FILL_DELAYS delays.
+    full grid and no more.  The coarse points of every beta are one comb call.
+    The fills follow in whole-beta batches of at most _FILL_DELAYS delays; a
+    larger fill is a batch of its own, evaluated in _FILL_DELAYS-delay pieces
+    from its own first row, so every beta's comb blocks are those of its
+    search alone.  _pick takes the candidates of all calls in any order.
     """
     T = characteristic_time(params)
     curvature = (4.0 + 4.0 / math.e) * (np.sum(np.abs(trunc.coefficients)) / T) ** 2
@@ -168,28 +170,20 @@ def _scan_peak(params: PhysicalParams, trunc: SeriesTruncation, betas: np.ndarra
     # of those within a tie of its final best
     keep = rates >= (top - _RATE_TIE)[run]
     cand = [(ks[keep], rates[keep], run[keep])]
-    lo = 0
-    while lo < ends[-1]:
-        # rows lo .. hi - 1 end on a comb block of the last beta they reach, so
-        # that every beta's fill is cut into the blocks of one comb call
-        hi = min(lo + _FILL_DELAYS, ends[-1])
-        first, last = np.searchsorted(ends, [lo, hi - 1], side="right")
-        if hi < ends[last]:
-            hi = begins[last] + (hi - begins[last]) // _TAU_BLOCK * _TAU_BLOCK
-        g0, g1 = np.searchsorted(gap_ends, [lo, hi - 1], side="right")
-        ge, gi = gap_ends[g0:g1 + 1], inner[g0:g1 + 1]
-        k = np.repeat(gap_first[g0:g1 + 1],
-                      np.minimum(ge, hi) - np.maximum(ge - gi, lo)) + np.arange(lo, hi)
-        counts = np.minimum(ends[first:last + 1], hi) - np.maximum(begins[first:last + 1], lo)
-        y = _rates(params, trunc, betas[first:last + 1], counts, k * grid_step)
-        r = np.repeat(np.arange(first, last + 1), counts)
-        np.maximum.at(top, r, y)
-        keep = y >= top[r] - _RATE_TIE
-        cand.append((k[keep], y[keep], r[keep]))
-        lo = hi
+    for p, q in _batches(fills, _FILL_DELAYS):
+        for lo in range(begins[p], ends[q - 1], _FILL_DELAYS):
+            hi = min(lo + _FILL_DELAYS, ends[q - 1])
+            g0, g1 = np.searchsorted(gap_ends, [lo, hi - 1], side="right")
+            ge, gi = gap_ends[g0:g1 + 1], inner[g0:g1 + 1]
+            k = np.repeat(gap_first[g0:g1 + 1],
+                          np.minimum(ge, hi) - np.maximum(ge - gi, lo)) + np.arange(lo, hi)
+            counts = np.minimum(ends[p:q], hi) - np.maximum(begins[p:q], lo)
+            y = _rates(params, trunc, betas[p:q], counts, k * grid_step)
+            r = np.repeat(np.arange(p, q), counts)
+            np.maximum.at(top, r, y)
+            keep = y >= top[r] - _RATE_TIE
+            cand.append((k[keep], y[keep], r[keep]))
     k, y, r = (np.concatenate(c) for c in zip(*cand))
-    order = np.argsort(r, kind="stable")
-    k, y, r = k[order], y[order], r[order]
     return k[_pick(r, k * grid_step, y, betas.size)]
 
 
@@ -252,8 +246,7 @@ def _peak_search(params: PhysicalParams, trunc: SeriesTruncation, betas: np.ndar
     bent = curv < 0.0
     v, j, yl, yr, curv = v[bent], j[bent], yl[bent], yr[bent], curv[bent]
     vertex = xs[v, j] + 0.5 * (xs[v, j] - xs[v, j - 1]) * (yl - yr) / curv
-    vertex = np.where(lo[v] > vertex, lo[v], vertex)  # min(max(vertex, lo), hi)
-    vertex = np.where(hi[v] < vertex, hi[v], vertex)
+    vertex = np.clip(vertex, lo[v], hi[v])
     y_vertex = _rates(params, trunc, betas[v], np.ones(v.size, dtype=np.int64), vertex)
     better = y_vertex >= best_y[v]
     best_x[v[better]], best_y[v[better]] = vertex[better], y_vertex[better]
@@ -314,11 +307,11 @@ def sweep_beta(params: PhysicalParams, alpha: float, beta_start: float,
     The betas are searched in lockstep (_peak_search), in consecutive groups
     whose scan grids (2n + 1 delays each) sum to at most _SWEEP_DELAYS, with at
     least one beta per group, so memory does not grow with the sweep.  Each
-    phase of a group evaluates all its betas' delays in one amplitude_comb
-    call: every beta is a run of its own, cut into blocks from its own start
-    and given one matmul a block, so each value is the one find_tau_max gives.
-    The first beta that would raise there raises here, a SearchError naming
-    its beta.
+    phase of a group is one amplitude_comb call over all its betas' delays,
+    except the gap fill, which goes in whole-beta batches (_scan_peak).  Every
+    beta is a run of its own, cut into blocks from its own start and given one
+    matmul a block, so each value is the one find_tau_max gives.  The first
+    beta that would raise there raises here, a SearchError naming its beta.
     """
     if not 0 <= beta_start < beta_end:
         raise ParameterError("need 0 <= beta_start < beta_end")

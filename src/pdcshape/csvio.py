@@ -11,8 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-# Rows formatted per batch, so that only this many rows of Python values exist
-# at once and a render's peak memory does not grow.
+# Rows formatted per batch, so that only this many rows of Python floats from
+# tolist exist at once; every rendered line is still kept until the final join.
 _ROW_CHUNK = 1024
 
 

@@ -255,7 +255,6 @@ def amplitude_comb(params: PhysicalParams, trunc: SeriesTruncation, betas, count
         for k, a, w in zip(pruned, low.tolist(), np.maximum(high - low + 1, 0).tolist()):
             blocks[k][4:] = a, w
     out = np.empty(taus.size, dtype=complex)
-    twisted = None
     for i, j in _batches([block[1] - block[0] for block in blocks], _TAU_BLOCK):
         # blocks i .. j - 1, up to _TAU_BLOCK delays in all, share one exp
         chunk = blocks[i:j]
@@ -276,10 +275,8 @@ def amplitude_comb(params: PhysicalParams, trunc: SeriesTruncation, betas, count
             np.multiply(g, g, out=g)
             np.exp(np.negative(g, out=g), out=g)  # exp(-s * s)
         r0, r1 = chunk[0][2], chunk[-1][2]
-        if twisted != (r0, r1):
-            twisted = r0, r1
-            coeff = trunc.coefficients * np.exp(
-                1j * trunc.orders * (0.5 * betas[r0:r1 + 1, None] * omega0))
+        coeff = trunc.coefficients * np.exp(
+            1j * trunc.orders * (0.5 * betas[r0:r1 + 1, None] * omega0))
         for start, stop, r, _, first, w in chunk:
             np.matmul(g[start - lo:stop - lo, :w], coeff[r - r0, first + m:first + m + w],
                       out=out[start:stop])

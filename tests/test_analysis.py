@@ -28,7 +28,14 @@ from pdcshape import (
     truncation_for,
 )
 from pdcshape import analysis, model
-from pdcshape.analysis import _find_peaks, _peak_search, _prominences, _scan_peak, _scan_size
+from pdcshape.analysis import (
+    _find_peaks,
+    _peak_search,
+    _pick,
+    _prominences,
+    _scan_peak,
+    _scan_size,
+)
 from pdcshape.model import _TAU_BLOCK
 
 J2 = [0.2238907791, 0.5767248078, 0.3528340286]  # J_0..J_2 at depth 2
@@ -227,6 +234,60 @@ class TestLockstepSearch:
             sweep_beta(pump, 2.0, 0.0, 9000.0, 1000.0)
         with pytest.raises(ParameterError, match="shrink the search window"):
             sweep_beta(params, 2.0, 9000.0, 9500.0, 100.0)
+
+
+class TestScanBatches:
+    """The scan's fill goes in whole-beta batches, and its pick takes rows in any order."""
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_pick_takes_rows_in_any_order(self, ties):
+        rng = np.random.default_rng(12)
+        seg = np.repeat(np.arange(6), 7)
+        x = rng.uniform(-5.0, 5.0, seg.size)
+        y = rng.uniform(0.0, 1.0, seg.size)
+        if ties:
+            # segment 1: equal rates at +-2 go to -2; segment 3: a rate within
+            # the tie margin of the best goes to the smaller |x|
+            y[[8, 9]], x[[8, 9]] = 2.0, [2.0, -2.0]
+            y[[21, 22]], x[[21, 22]] = [2.0, 2.0 - 1e-13], [4.0, 0.5]
+        want = _pick(seg, x, y, 6)
+        for perm in (np.arange(seg.size)[::-1], rng.permutation(seg.size)):
+            assert perm[_pick(seg[perm], x[perm], y[perm], 6)].tolist() == want.tolist()
+
+    def test_fill_pieces_start_from_their_beta(self, params, monkeypatch):
+        # at depth 10 the fills of betas 300 and 301 exceed _FILL_DELAYS: each
+        # goes alone, in pieces counted from its own first fill row
+        calls = []
+        original = analysis._rates
+
+        def spying(params, trunc, betas, counts, taus):
+            calls.append((np.asarray(betas).tolist(), np.asarray(counts).tolist()))
+            return original(params, trunc, betas, counts, taus)
+
+        monkeypatch.setattr(analysis, "_rates", spying)
+        trunc = truncation_for(CosinePhaseFilter(10.0, 0.0))
+        betas = np.array([0.0, 300.0, 301.0])
+        ns = TestLockstepSearch.windows(params, trunc, betas, 0.5)
+        picks = _scan_peak(params, trunc, betas, ns, 0.5)
+        fills = calls[1:]  # the first call is the coarse scan
+        total = {b: 0 for b in betas.tolist()}
+        for call_betas, counts in fills:
+            for b, c in zip(call_betas, counts):
+                total[b] += c
+        assert total[300.0] > analysis._FILL_DELAYS and total[301.0] > analysis._FILL_DELAYS
+        done = {b: 0 for b in betas.tolist()}
+        for call_betas, counts in fills:
+            whole = all(c == total[b] for b, c in zip(call_betas, counts))
+            piece = len(call_betas) == 1 and done[call_betas[0]] % analysis._FILL_DELAYS == 0
+            assert whole or piece, (call_betas, counts)
+            for b, c in zip(call_betas, counts):
+                done[b] += c
+        assert picks.tolist() == [_scan_peak(params, trunc, betas[i:i + 1], ns[i:i + 1],
+                                             0.5)[0] for i in range(betas.size)]
+
+    def test_fill_pieces_are_whole_comb_blocks(self):
+        # so a fill split into pieces keeps the comb blocks of the unsplit fill
+        assert analysis._FILL_DELAYS % _TAU_BLOCK == 0
 
 
 class TestSweep:
