@@ -9,7 +9,7 @@ from .errors import (
     SearchError,
     WindowError,
 )
-from .bessel import BesselTable, bessel_j_table
+from .bessel import bessel_j_table
 from .model import (
     DEFAULT_PARAMS,
     LIGHT_SPEED_DEFAULT,

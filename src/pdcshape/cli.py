@@ -54,8 +54,15 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ParameterError instead of printing usage and exiting."""
+
+    def error(self, message: str):
+        raise ParameterError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pdcshape",
         description="Coincidence-rate curves for phase-filtered degenerate photon pairs.",
         epilog="commands:\n" + "\n".join(f"  {name:<12}{text}"
@@ -196,24 +203,17 @@ def run_command(cfg: RunConfig, command: str) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
-    try:
+        args = build_parser().parse_args(argv)
+        flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
         cfg = resolve_config(flags, args.config, _PRESETS.get(args.command))
         return run_command(cfg, args.command)
-    except ParameterError as exc:
+    except SystemExit as exc:  # only --help exits the parser; usage errors raise
+        return exc.code or EXIT_OK
+    except (ParameterError, ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return (EXIT_NUMERIC if isinstance(exc, ConvergenceError)
+                else EXIT_IO if isinstance(exc, OSError) else EXIT_USAGE)
 
 
 if __name__ == "__main__":

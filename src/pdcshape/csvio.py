@@ -16,14 +16,6 @@ import numpy as np
 _ROW_CHUNK = 1024
 
 
-def format_number(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.8e}"
-
-
 def _meta_str(value) -> str:
     if value is None:
         return "none"
@@ -40,7 +32,7 @@ def render_csv(metadata: dict, columns: list[tuple[str, np.ndarray]]) -> str:
         for name, values in columns:
             if len(values) != n_rows:
                 raise ValueError(f"column {name!r} length {len(values)} != {n_rows}")
-        # format_number's choice made once per column, one string operation per row
+        # %.8e for float columns, %s for the rest: picked once per column, one string op per row
         arrays = [np.asarray(values) for _, values in columns]
         row = ",".join("%.8e" if a.dtype.kind == "f" else "%s" for a in arrays)
         for lo in range(0, n_rows, _ROW_CHUNK):

@@ -128,7 +128,7 @@ class SeriesTruncation:
         if self.max_order < 0:
             raise ParameterError("max_order must be >= 0")
         orders = np.arange(-self.max_order, self.max_order + 1)
-        j = bessel_j_table(self.depth, self.max_order).values[np.abs(orders)]
+        j = bessel_j_table(self.depth, self.max_order)[np.abs(orders)]
         j[(orders < 0) & (orders % 2 != 0)] *= -1.0
         # i^m looked up exactly instead of complex powers, which round
         i_pow = np.array([1.0, 1.0j, -1.0, -1.0j])[np.mod(orders, 4)]
@@ -176,7 +176,7 @@ def truncation_for(filt: CosinePhaseFilter, tol: float = 1e-12) -> SeriesTruncat
         raise ParameterError(f"tol must be in (0, 1e-3], got {tol!r}")
     n = min(math.ceil(filt.depth) + 80, MAX_ORDER)
     while True:
-        j = np.abs(bessel_j_table(filt.depth, n).values)
+        j = np.abs(bessel_j_table(filt.depth, n))
         beyond = math.inf
         if j[-1] == 0.0:
             beyond = 0.0

@@ -247,6 +247,12 @@ def comparison_grid(params: PhysicalParams, filt: CosinePhaseFilter,
     if trunc is None:
         trunc = truncation_for(filt)
     n = math.ceil(series_halfwidth(params, filt, trunc) / spacing)
+    orders = 2 * trunc.max_order + 1
+    if (2 * n + 1) * orders > _MAX_COMB_CELLS:
+        raise ParameterError(
+            f"the comparison grid over {2 * n + 1} delays x {orders} series orders needs "
+            f"{(2 * n + 1) * orders:.3g} cells, over the cap of {_MAX_COMB_CELLS}; "
+            "use a coarser spacing or a shorter correlation time")
     return np.arange(-n, n + 1) * spacing
 
 

@@ -5,8 +5,9 @@ Bessel values from mpmath in 40-digit arithmetic, no Jacobi-Anger identity, a
 dense node-by-node trapezoid sum with no factorization and no level reuse, a
 series comb formed as one delays x orders matrix, a peak scan that evaluates
 every grid delay, a sweep that searches one beta at a time, SciPy's own
-peak finder and the earlier two-stage series cutoff, so agreement with the
-package is a real cross-check rather than the same algorithm twice.
+peak finder, the earlier two-stage series cutoff and a value-by-value CSV
+number format, so agreement with the package is a real cross-check rather
+than the same algorithm twice.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ def two_stage_cutoff(filt, tol: float = 1e-12) -> int:
     while True:
         if n > 1000:
             raise ParameterError(f"filter depth {filt.depth} too large for series truncation")
-        j = np.abs(bessel_j_table(filt.depth, n).values)
+        j = np.abs(bessel_j_table(filt.depth, n))
         below = j < tol
         candidates = np.nonzero(below[1:-2] & below[2:-1] & below[3:])[0]
         if candidates.size:
@@ -162,3 +163,12 @@ def two_stage_cutoff(filt, tol: float = 1e-12) -> int:
     while m + 1 <= n and tail[m + 1] >= 0.5 * tol:
         m += 1
     return m
+
+
+def format_number(value) -> str:
+    """One CSV cell, value by value: str as is, integers plain, floats in %.8e."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.8e}"

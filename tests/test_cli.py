@@ -8,8 +8,10 @@ import pytest
 from pdcshape import ConvergenceError, ParameterError, csvio, errors
 from pdcshape.cli import _PRESETS, main
 from pdcshape.config import DEFAULTS, read_config_file, resolve_config
-from pdcshape.csvio import format_number, render_csv
+from pdcshape.csvio import render_csv
 from pdcshape.quadrature import DeviationReport
+
+from oracles import format_number
 
 
 def read_lines(path):
@@ -236,6 +238,27 @@ class TestExitCodes:
     def test_usage_error_on_unknown_flag(self):
         assert main(["curve", "--frequency", "3"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--alpha", "x"],
+        ["curve", "--method", "foo"],
+        ["curve", "--frequency", "3"],
+        [],
+        ["bogus"],
+        # argparse reads -1e3 as an option; --tau-min=-1e3 is the accepted form
+        ["curve", "--tau-min", "-1e3"],
+    ], ids=["bad-float", "bad-choice", "unknown-flag", "no-command", "bad-command",
+            "negative-exponent"])
+    def test_argparse_refusal_is_one_error_line(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["-h"]) == 0
+        assert capsys.readouterr().out.startswith("usage: pdcshape")
+
     def test_usage_error_on_unknown_config_key(self, tmp_path):
         f = tmp_path / "bad.cfg"
         f.write_text("chirp = 1\n")
@@ -271,7 +294,9 @@ class TestExitCodes:
         (["curve", "--points", "100000000000000000000"], "error: points must be <="),
         # 1e6 delays x 63 series orders at depth 10
         (["curve", "--alpha", "10", "--points", "1000000"], "error: the curve over"),
-    ], ids=["sweep-beta", "tau-max", "curve-points", "curve-cells"])
+        # T = 5.2e10 fs at u = 1 m/s: a 10 fs comparison grid would hold ~5e10 delays
+        (["validate", "--u", "1"], "error: the comparison grid over"),
+    ], ids=["sweep-beta", "tau-max", "curve-points", "curve-cells", "validate-grid"])
     def test_usage_error_on_oversized_work(self, tmp_path, capsys, argv, message):
         tracemalloc.start()
         try:

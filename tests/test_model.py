@@ -8,7 +8,6 @@ from scipy.special import jv
 
 from oracles import dense_comb, series_bessel_j, two_stage_cutoff
 from pdcshape import (
-    BesselTable,
     CorrelationCurve,
     CosinePhaseFilter,
     ParameterError,
@@ -113,9 +112,9 @@ class TestTruncation:
         tables = {}
 
         def table(x, max_order):
-            if x not in tables or tables[x].max_order < max_order:
+            if x not in tables or tables[x].size <= max_order:
                 tables[x] = bessel_j_table(x, max_order)
-            return BesselTable(x, max_order, tables[x].values[:max_order + 1].copy())
+            return tables[x][:max_order + 1].copy()
 
         monkeypatch.setattr("pdcshape.model.bessel_j_table", table)
         monkeypatch.setattr("oracles.bessel_j_table", table)
@@ -139,7 +138,7 @@ class TestTruncation:
         depths = np.append(np.linspace(400.0, 900.0, 11), [452.3, 710.0, 911.9])
         for depth in depths:
             m = truncation_for(CosinePhaseFilter(float(depth), 0.0)).max_order
-            j = np.abs(shared_tables(float(depth), 1000).values)
+            j = np.abs(shared_tables(float(depth), 1000))
             past = np.abs(jv(np.arange(1001, 1101), depth))
             assert 2.0 * (np.sum(j[m + 1:]) + np.sum(past)) <= 0.5e-12, depth
         with pytest.raises(ParameterError, match="too large for series truncation"):
