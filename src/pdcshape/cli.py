@@ -157,9 +157,10 @@ def run_command(cfg: RunConfig, command: str) -> int:
         rows_a, rows_b, rows_d, rows_t = [], [], [], []
         worst = 0.0
         for a in VALIDATION_DEPTHS:
+            # the series depends on the depth alone: one truncation serves its row
+            trunc = truncation_for(CosinePhaseFilter(a, 0.0), cfg.trunc_tol)
             for b in VALIDATION_MOD_FREQUENCIES:
                 filt = CosinePhaseFilter(a, b)
-                trunc = truncation_for(filt, cfg.trunc_tol)
                 grid = comparison_grid(cfg.params, filt, spacing=10.0, trunc=trunc)
                 rep = compare_methods(cfg.params, filt, grid, settings=cfg.quad,
                                       trunc=trunc)

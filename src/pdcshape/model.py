@@ -174,6 +174,9 @@ def truncation_for(filt: CosinePhaseFilter, tol: float = 1e-12) -> SeriesTruncat
     """
     if not 0 < tol <= 1e-3:
         raise ParameterError(f"tol must be in (0, 1e-3], got {tol!r}")
+    if filt.depth > MAX_ORDER:
+        # orders near the depth have |J| ~ 0.4 m^(-1/3), so no cutoff exists
+        raise ParameterError(f"filter depth {filt.depth} too large for series truncation")
     n = min(math.ceil(filt.depth) + 80, MAX_ORDER)
     while True:
         j = np.abs(bessel_j_table(filt.depth, n))

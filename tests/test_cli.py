@@ -125,6 +125,24 @@ class TestCsvFormat:
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
 
+    def test_write_streams_row_chunks(self, tmp_path):
+        out = tmp_path / "w.csv"
+        n = 2 * csvio._ROW_CHUNK + 5
+        cols = [("x", np.linspace(-1.0, 1.0, n)), ("k", np.arange(n))]
+        csvio.write_csv(out, {"a": 0.5}, cols)
+        assert out.read_bytes() == render_csv({"a": 0.5}, cols).encode("ascii")
+        # rendering all 200,000 lines before writing peaked at 12.8 MB; small
+        # ints keep tolist from allocating, so the traced run stays short
+        cols = [("k", np.arange(200_000) % 200)]
+        tracemalloc.start()
+        try:
+            csvio.write_csv(out, {}, cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+        assert out.read_bytes().endswith(b"\n198\n199\n")
+
 
 class TestCommands:
     def test_params_echoes_defaults(self, tmp_path, capsys):
@@ -296,7 +314,11 @@ class TestExitCodes:
         (["curve", "--alpha", "10", "--points", "1000000"], "error: the curve over"),
         # T = 5.2e10 fs at u = 1 m/s: a 10 fs comparison grid would hold ~5e10 delays
         (["validate", "--u", "1"], "error: the comparison grid over"),
-    ], ids=["sweep-beta", "tau-max", "curve-points", "curve-cells", "validate-grid"])
+        # past MAX_ORDER no series cutoff exists, and the Bessel table's DFT would grow with it
+        (["curve", "--alpha", "1e7"], "error: filter depth 10000000.0 too large for series"),
+        (["curve", "--alpha", "1e300"], "error: filter depth 1e+300 too large for series"),
+    ], ids=["sweep-beta", "tau-max", "curve-points", "curve-cells", "validate-grid",
+            "curve-depth-1e7", "curve-depth-1e300"])
     def test_usage_error_on_oversized_work(self, tmp_path, capsys, argv, message):
         tracemalloc.start()
         try:
@@ -420,9 +442,12 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
     assert out.exists()
     assert "lambda_nm = 350.0" in proc.stdout
-    # scipy.signal would add ~1 s and ~50 MB to every command's start
-    assert "scipy.special" in proc.stderr
-    assert "scipy.signal" not in proc.stderr
+    # numpy is the one run-time dependency: scipy.special alone added ~0.27 s and
+    # ~20 MB to every command's start, scipy.signal ~1 s and ~50 MB
+    modules = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+               if line.startswith("import time:")]
+    assert "numpy" in modules
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -107,8 +107,8 @@ class TestTruncation:
 
     @pytest.fixture
     def shared_tables(self, monkeypatch):
-        # jv is elementwise, so each depth's table is computed once, at the
-        # largest order asked, and sliced for every later ask.
+        # each depth's table is computed once, at the largest order asked, and
+        # sliced for every later ask, so both rules read the same values
         tables = {}
 
         def table(x, max_order):
@@ -143,6 +143,15 @@ class TestTruncation:
             assert 2.0 * (np.sum(j[m + 1:]) + np.sum(past)) <= 0.5e-12, depth
         with pytest.raises(ParameterError, match="too large for series truncation"):
             truncation_for(CosinePhaseFilter(912.0, 0.0))
+
+    def test_depth_past_the_order_limit_refused_before_any_table(self, monkeypatch):
+        def table(x, max_order):
+            raise AssertionError(f"table built at depth {x}")
+
+        monkeypatch.setattr("pdcshape.model.bessel_j_table", table)
+        for depth in (1000.5, 1e7, 1e300):
+            with pytest.raises(ParameterError, match="too large for series truncation"):
+                truncation_for(CosinePhaseFilter(depth, 0.0))
 
     def test_bad_tolerance_rejected(self):
         with pytest.raises(ParameterError):
