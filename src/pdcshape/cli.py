@@ -92,6 +92,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: parse_args keeps no state between calls, and every
+# value is read from the fresh namespace it returns.
+_PARSER = build_parser()
+
+
 def _out_path(cfg: RunConfig, command: str) -> Path:
     return Path(cfg.out) if cfg.out is not None else Path(f"{command}.csv")
 
@@ -205,7 +210,7 @@ def run_command(cfg: RunConfig, command: str) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
         cfg = resolve_config(flags, args.config, _PRESETS.get(args.command))
         return run_command(cfg, args.command)

@@ -117,7 +117,10 @@ def _parse_value(key: str, raw: str):
 def read_config_file(path: str | Path) -> dict:
     """Parse a `key = value` file with `#` comments; unknown keys are rejected."""
     values: dict = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: not valid UTF-8 at byte {exc.start}") from exc
     for ln, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:

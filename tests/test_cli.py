@@ -283,6 +283,13 @@ class TestExitCodes:
         assert main(["curve", "--config", str(f),
                      "--out", str(tmp_path / "x.csv")]) == 2
 
+    def test_usage_error_on_undecodable_config(self, tmp_path, capsys):
+        f = tmp_path / "latin1.cfg"
+        f.write_bytes(b"alpha = 2\xff\n")
+        assert main(["params", "--config", str(f), "--out", str(tmp_path / "p.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {f}: not valid UTF-8 at byte 9\n"
+
     def test_usage_error_on_clipped_window(self, tmp_path):
         f = tmp_path / "clip.cfg"
         # a window ending on the rising flank toward the +-1000 fs lobes
@@ -418,6 +425,25 @@ class TestExitCodes:
 
 
 class TestDeterminism:
+    def test_parser_reuse_leaks_no_value(self, tmp_path, capsys):
+        # one parser serves every call in a process: each call sees only its own flags
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("beta = 60\n")
+        runs = [(["--alpha", "3", "--method", "quadrature", "--config", str(cfg)],
+                 {"alpha": "3.0", "beta": "60.0", "method": "quadrature"}),
+                ([], {"alpha": "2.0", "beta": "50.0", "method": "series"}),
+                (["--beta", "53"], {"alpha": "2.0", "beta": "53.0", "method": "series"}),
+                ([], {"alpha": "2.0", "beta": "50.0", "method": "series"})]
+        for k, (flags, expected) in enumerate(runs):
+            out = tmp_path / f"p{k}.csv"
+            assert main(["params", *flags, "--out", str(out)]) == 0
+            echoed = dict(ln.split(" = ", 1) for ln in capsys.readouterr().out.splitlines()
+                          if " = " in ln)
+            assert {key: echoed[key] for key in expected} == expected
+        assert main(["curve", "--points", "3", "--out", str(tmp_path / "c.csv")]) == 0
+        assert main(["params", "--out", str(tmp_path / "q.csv")]) == 0
+        assert "points = 2401" in capsys.readouterr().out
+
     def test_curve_bytes_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["curve", "--alpha", "2", "--beta", "50", "--points", "801"]
