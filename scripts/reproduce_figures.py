@@ -16,13 +16,10 @@ from pdcshape.cli import main as pdcshape_main
 def run() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--outdir", type=Path, default=Path("out"))
-    ap.add_argument("--skip-validate", action="store_true",
-                    help="skip the series/quadrature cross-check (the slow part)")
     args = ap.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
 
-    commands = ["fig2", "fig3", "fig4"] + ([] if args.skip_validate else ["validate"])
-    for command in commands:
+    for command in ("fig2", "fig3", "fig4", "validate"):
         code = pdcshape_main([command, "--out", str(args.outdir / f"{command}.csv")])
         if code != 0:
             print(f"{command} failed with exit code {code}", file=sys.stderr)

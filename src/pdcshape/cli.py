@@ -20,6 +20,7 @@ from .model import _METHODS, CorrelationCurve, CosinePhaseFilter, sample_curve, 
 from .quadrature import (
     VALIDATION_DEPTHS,
     VALIDATION_MOD_FREQUENCIES,
+    _comparison_halfcount,
     compare_methods,
     comparison_grid,
 )
@@ -159,21 +160,26 @@ def run_command(cfg: RunConfig, command: str) -> int:
                    ("prominence", np.array([l.prominence for l in report.lobes]))])
 
     elif command == "validate":
-        rows_a, rows_b, rows_d, rows_t = [], [], [], []
-        worst = 0.0
+        # every cell's grid is sized before any cell computes, so that an
+        # over-cap cell is refused at once
+        cells = []
         for a in VALIDATION_DEPTHS:
             # the series depends on the depth alone: one truncation serves its row
             trunc = truncation_for(CosinePhaseFilter(a, 0.0), cfg.trunc_tol)
             for b in VALIDATION_MOD_FREQUENCIES:
                 filt = CosinePhaseFilter(a, b)
-                grid = comparison_grid(cfg.params, filt, spacing=10.0, trunc=trunc)
-                rep = compare_methods(cfg.params, filt, grid, settings=cfg.quad,
-                                      trunc=trunc)
-                rows_a.append(a)
-                rows_b.append(b)
-                rows_d.append(rep.max_abs_diff)
-                rows_t.append(rep.tau_at_max)
-                worst = max(worst, rep.max_abs_diff)
+                _comparison_halfcount(cfg.params, filt, 10.0, trunc)
+                cells.append((filt, trunc))
+        rows_a, rows_b, rows_d, rows_t = [], [], [], []
+        worst = 0.0
+        for filt, trunc in cells:
+            grid = comparison_grid(cfg.params, filt, spacing=10.0, trunc=trunc)
+            rep = compare_methods(cfg.params, filt, grid, settings=cfg.quad, trunc=trunc)
+            rows_a.append(filt.depth)
+            rows_b.append(filt.mod_frequency)
+            rows_d.append(rep.max_abs_diff)
+            rows_t.append(rep.tau_at_max)
+            worst = max(worst, rep.max_abs_diff)
         write_csv(out, meta, [("alpha", np.array(rows_a)),
                               ("beta_fs", np.array(rows_b)),
                               ("max_abs_diff", np.array(rows_d)),

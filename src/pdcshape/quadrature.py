@@ -9,13 +9,15 @@ over a truncated symmetric window, by a composite trapezoid rule whose point
 count doubles until two successive estimates agree.  The levels are nested:
 the first coarse estimate sums the even nodes, and every finer estimate is
 half the previous one plus the new odd midpoints, so each node is weighted
-and summed once.  The sum over m equally spaced nodes is factored exactly
-into blocks of L = isqrt(m), exp(i tau nu_j) = exp(i tau nu_block)
-exp(i tau r step), which costs about 2 sqrt(m) complex exponentials per delay
-plus one small matrix product, in place of m exponentials; it holds for any
-tau grid.  Nothing here uses the Bessel expansion, so agreement with the
-series path is a genuine two-route check of the closed form, including the
-sign structure of its exponent.
+and summed once.  The delays must form a uniform grid (linspace, arange times
+a step, or a single delay); its spacing is taken from the end points, and a
+delay off that lattice is refused with ParameterError.  On a uniform grid the
+sum over m equally spaced nodes is a chirp-z transform (Bluestein), one FFT
+convolution per piece of up to max(m, _MIN_PIECE) delays, so a level costs
+O((N + m) log(N + m)) for N delays instead of O(N m), and its memory does
+not grow with N.  Nothing here uses the Bessel expansion, so agreement with
+the series path is a genuine two-route check of the closed form, including
+the sign structure of its exponent.
 """
 
 from __future__ import annotations
@@ -39,7 +41,11 @@ from .model import (
     truncation_for,
 )
 
-_TAU_CHUNK = 256
+#: a chirp-z piece holds up to max(m, _MIN_PIECE) delays for m nodes
+_MIN_PIECE = 8192
+#: how far a delay may sit off its lattice point, in units of eps (|tau_0| + |tau_last|):
+#: about 4-8 ulps of the grid's largest delay
+_LATTICE_EPS = 4.0
 
 #: (depth, mod_frequency/fs) grid exercised by the `validate` command.
 VALIDATION_DEPTHS = (0.0, 1.0, 2.0, 5.0, 10.0)
@@ -71,8 +77,8 @@ class QuadratureSettings:
             raise ParameterError("initial_points must be >= 64")
         if self.max_points < self.initial_points:
             raise ParameterError("max_points must be >= initial_points")
-        # the same memory cap: the last level's node arrays take about 32 B
-        # an interval at peak
+        # the same memory cap: the last level's chirp-z buffers take up to about
+        # 80 B an interval at peak, besides the delay-length results
         if self.max_points > _MAX_COMB_CELLS:
             raise ParameterError(f"max_points must be <= {_MAX_COMB_CELLS}")
         if not 0 < self.rel_tolerance <= 1e-6:
@@ -124,28 +130,105 @@ def _required_intervals(nu_max: float, taus: np.ndarray, filt: CosinePhaseFilter
         f"{settings.max_points}; raise max_points or shrink the tau window")
 
 
+def _fast_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length numpy.fft transforms quickly."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _split(x):
+    """Veltkamp split: x = hi + lo, each half fitting in 26 bits."""
+    c = 134217729.0 * x  # 2^27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _two_product(a, b):
+    """Dekker's exact product: a * b = p + e with p = fl(a * b)."""
+    p = a * b
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _chirp(alpha: tuple[float, float], n: np.ndarray) -> np.ndarray:
+    """exp(i alpha n^2 / 2) for integer n, alpha = alpha[0] + alpha[1] exactly.
+
+    n^2 is an exact float, and alpha/2 n^2 is carried as hi + lo, so the
+    phase is wrong by round-off of the phase itself, not of its size.
+    """
+    n2 = (n * n).astype(float)
+    hi, lo = _two_product(0.5 * alpha[0], n2)
+    lo += 0.5 * alpha[1] * n2
+    return np.exp(1j * hi) * (1.0 + 1j * lo)
+
+
+def _check_uniform(taus: np.ndarray) -> None:
+    """ParameterError unless the delays form a uniform grid.
+
+    The spacing is taken from the end points, and every delay must lie within
+    _LATTICE_EPS * eps * (|taus[0]| + |taus[-1]|) of its lattice point
+    taus[0] + k spacing: linspace (within 2 of those units), arange times a
+    step (exact) and single delays pass.
+    """
+    if taus.size < 3:
+        return
+    spacing = (taus[-1] - taus[0]) / (taus.size - 1)
+    off = np.abs(taus - (taus[0] + spacing * np.arange(taus.size)))
+    bound = _LATTICE_EPS * np.finfo(float).eps * (abs(taus[0]) + abs(taus[-1]))
+    k = int(np.argmax(off))
+    if off[k] > bound:
+        raise ParameterError(
+            f"the quadrature route needs a uniform delay grid: tau[{k}] = {taus[k]!r} fs lies "
+            f"{off[k]:.3g} fs off the lattice {taus[0]!r} + k * {spacing!r} fs")
+
+
 def _phase_sum(taus: np.ndarray, start: float, step: float,
                weights: np.ndarray) -> np.ndarray:
-    """sum_j weights[j] exp(i tau (start + j step)) for every tau.
+    """sum_j weights[j] exp(i tau (start + j step)) for every tau of a uniform grid.
 
-    The m nodes are split into blocks of L = isqrt(m), j = b L + r, and
-    exp(i tau nu_j) = exp(i tau (start + b L step)) exp(i tau r step) exactly,
-    so a delay needs about 2 sqrt(m) complex exponentials and the weighted
-    sum is one (delays x blocks) @ (blocks x L) product.
+    A chirp-z transform (Bluestein).  The delay spacing dtau is taken from the
+    end points of taus.  Count the delay k' and the node j' from the
+    midpoints tau_c of a piece of Q delays and nu_c of the m nodes; then
+    tau nu = tau nu_c + tau_c step j' + alpha k' j' with alpha = dtau step,
+    and k' j' = (k'^2 + j'^2 - (k' - j')^2) / 2 turns the sum over j into one
+    convolution with the chirp exp(-i alpha d^2 / 2), done by FFT.  The
+    chirp phases are carried exactly (_chirp), so they are no less accurate
+    than tau nu itself.  Q = max(m, _MIN_PIECE) at most; the kernel's FFT is
+    taken once, and each piece then costs two FFTs of a 5-smooth length
+    >= Q + m - 1, so memory is O(Q + m) whatever the delay count.
     """
-    m = weights.size
-    L = math.isqrt(m)
-    blocks = -(-m // L)
-    W = np.zeros(blocks * L, dtype=complex)
-    W[:m] = weights
-    W = W.reshape(blocks, L)
-    block_nus = start + (step * L) * np.arange(blocks)
-    offset_nus = step * np.arange(L)
-    out = np.empty(taus.size, dtype=complex)
-    for lo in range(0, taus.size, _TAU_CHUNK):
-        t = taus[lo:lo + _TAU_CHUNK, None]
-        R = np.exp(1j * t * block_nus) @ W
-        out[lo:lo + _TAU_CHUNK] = np.sum(R * np.exp(1j * t * offset_nus), axis=1)
+    n_taus, m = taus.size, weights.size
+    dtau = (taus[-1] - taus[0]) / (n_taus - 1) if n_taus > 1 else 0.0
+    alpha = _two_product(dtau, step)
+    q = min(n_taus, max(m, _MIN_PIECE))
+    size = _fast_length(q + m - 1)
+    kc, jc = (q - 1) // 2, (m - 1) // 2
+    # k' - j' runs over d0 .. d0 + q + m - 2, and |k'|, |j'| never exceed its
+    # largest magnitude: the chirp is even, so one table serves all three
+    d0 = jc - kc - m + 1
+    chirp = _chirp(alpha, np.arange(max(-d0, d0 + q + m - 2) + 1))
+    kernel = np.fft.fft(np.conj(chirp[np.abs(np.arange(d0, d0 + q + m - 1))]), size)
+    j = np.arange(m) - jc
+    node_chirp = weights * chirp[np.abs(j)]
+    delay_chirp = chirp[np.abs(np.arange(q) - kc)]
+    nu_c = start + jc * step
+    nu_off = step * j
+    out = np.empty(n_taus, dtype=complex)
+    for lo in range(0, n_taus, q):
+        t = taus[lo:lo + q]
+        tau_c = taus[0] + (lo + kc) * dtau
+        conv = np.fft.fft(node_chirp * np.exp(1j * tau_c * nu_off), size)
+        conv *= kernel
+        np.fft.ifft(conv, out=conv)
+        out[lo:lo + q] = np.exp(1j * nu_c * t) * delay_chirp[:t.size] * conv[m - 1:m - 1 + t.size]
     return out
 
 
@@ -166,6 +249,7 @@ def _amplitude_grid(params: PhysicalParams, filt: CosinePhaseFilter, taus: np.nd
     scale_floor = 2.0 * math.sqrt(math.pi) / T
 
     n_coarse = _required_intervals(nu_max, taus, filt, settings)
+    _check_uniform(taus)
     n = 2 * n_coarse
 
     def node_weights(start: float, step: float, count: int) -> np.ndarray:
@@ -238,14 +322,11 @@ def rate_grid(params: PhysicalParams, filt: CosinePhaseFilter, tau_grid,
     return np.abs(values / base) ** 2
 
 
-def comparison_grid(params: PhysicalParams, filt: CosinePhaseFilter,
-                    spacing: float = 10.0,
-                    trunc: SeriesTruncation | None = None) -> np.ndarray:
-    """Uniform tau grid covering every lobe of the series with ~5T margin."""
+def _comparison_halfcount(params: PhysicalParams, filt: CosinePhaseFilter, spacing: float,
+                          trunc: SeriesTruncation) -> int:
+    """n of comparison_grid's 2n + 1 delays; ParameterError if the grid is over the cap."""
     if spacing <= 0:
         raise ParameterError("spacing must be > 0")
-    if trunc is None:
-        trunc = truncation_for(filt)
     n = math.ceil(series_halfwidth(params, filt, trunc) / spacing)
     orders = 2 * trunc.max_order + 1
     if (2 * n + 1) * orders > _MAX_COMB_CELLS:
@@ -253,6 +334,16 @@ def comparison_grid(params: PhysicalParams, filt: CosinePhaseFilter,
             f"the comparison grid over {2 * n + 1} delays x {orders} series orders needs "
             f"{(2 * n + 1) * orders:.3g} cells, over the cap of {_MAX_COMB_CELLS}; "
             "use a coarser spacing or a shorter correlation time")
+    return n
+
+
+def comparison_grid(params: PhysicalParams, filt: CosinePhaseFilter,
+                    spacing: float = 10.0,
+                    trunc: SeriesTruncation | None = None) -> np.ndarray:
+    """Uniform tau grid covering every lobe of the series with ~5T margin."""
+    if trunc is None:
+        trunc = truncation_for(filt)
+    n = _comparison_halfcount(params, filt, spacing, trunc)
     return np.arange(-n, n + 1) * spacing
 
 

@@ -16,7 +16,6 @@ import math
 
 import mpmath
 import numpy as np
-from scipy.signal import find_peaks, peak_prominences
 
 from pdcshape import CosinePhaseFilter, characteristic_time, count_rate, pump_angular_frequency
 from pdcshape.bessel import bessel_j_table
@@ -134,6 +133,8 @@ def looped_sweep(params, trunc, betas, ns, grid_step: float, refine_tol: float):
 
 def scipy_peaks(x: np.ndarray, height: float, distance: int) -> tuple[np.ndarray, np.ndarray]:
     """Peak indices and prominences from SciPy's find_peaks and peak_prominences."""
+    from scipy.signal import find_peaks, peak_prominences  # ~1.2 s to import
+
     idx, _ = find_peaks(x, height=height, distance=distance)
     return idx, peak_prominences(x, idx)[0]
 

@@ -321,11 +321,14 @@ class TestExitCodes:
         (["curve", "--alpha", "10", "--points", "1000000"], "error: the curve over"),
         # T = 5.2e10 fs at u = 1 m/s: a 10 fs comparison grid would hold ~5e10 delays
         (["validate", "--u", "1"], "error: the comparison grid over"),
+        # T = 5.2e6 fs: the depth-0 grids (5.2 M delays) fit the cap, depth 1's do not,
+        # and every cell is sized before any computes
+        (["validate", "--u", "1e4"], "error: the comparison grid over"),
         # past MAX_ORDER no series cutoff exists, and the Bessel table's DFT would grow with it
         (["curve", "--alpha", "1e7"], "error: filter depth 10000000.0 too large for series"),
         (["curve", "--alpha", "1e300"], "error: filter depth 1e+300 too large for series"),
     ], ids=["sweep-beta", "tau-max", "curve-points", "curve-cells", "validate-grid",
-            "curve-depth-1e7", "curve-depth-1e300"])
+            "validate-grid-depth-1", "curve-depth-1e7", "curve-depth-1e300"])
     def test_usage_error_on_oversized_work(self, tmp_path, capsys, argv, message):
         tracemalloc.start()
         try:

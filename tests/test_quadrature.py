@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from pdcshape import (
     comparison_grid,
     pump_angular_frequency,
     rate_grid,
+    sample_curve,
     truncation_for,
 )
+from pdcshape import quadrature
 from pdcshape.quadrature import DEFAULT_SETTINGS, _amplitude_grid, _baseline_raw
 
 
@@ -71,25 +74,66 @@ class TestCompareMethods:
 
 
 class TestFactorizedSum:
-    @given(taus=st.lists(st.floats(min_value=-4e4, max_value=4e4, allow_nan=False),
-                         min_size=1, max_size=8),
+    @given(start=st.floats(min_value=-4e4, max_value=4e4),
+           end=st.floats(min_value=-4e4, max_value=4e4),
+           count=st.integers(min_value=1, max_value=8),
            depth=st.floats(min_value=0.0, max_value=10.0),
            mod_frequency=st.floats(min_value=0.0, max_value=1000.0),
            initial_points=st.sampled_from([64, 1024]))
-    @example(taus=[0.0], depth=2.0, mod_frequency=50.0, initial_points=1024)
-    @example(taus=[-4e4], depth=10.0, mod_frequency=1000.0, initial_points=64)
-    @example(taus=[4e4, 0.0, -1.5, 333.3], depth=0.0, mod_frequency=0.0,
+    @example(start=0.0, end=0.0, count=1, depth=2.0, mod_frequency=50.0, initial_points=1024)
+    @example(start=-4e4, end=-4e4, count=1, depth=10.0, mod_frequency=1000.0,
              initial_points=64)
+    @example(start=4e4, end=-4e4, count=5, depth=0.0, mod_frequency=0.0, initial_points=64)
+    # two delays 8e4 fs apart against ~2e4 nodes: chirp phases alpha d^2 / 2 of ~1e8 rad
+    @example(start=-4e4, end=4e4, count=2, depth=10.0, mod_frequency=1000.0,
+             initial_points=1024)
     @settings(max_examples=25, deadline=None)
-    def test_matches_dense_sum(self, params, T, taus, depth, mod_frequency,
+    def test_matches_dense_sum(self, params, T, start, end, count, depth, mod_frequency,
                                initial_points):
-        # any delay grid: unsorted, non-uniform, single points and tau = 0
+        # any uniform delay grid: either sign of spacing, single points and tau = 0
+        spacing = (end - start) / (count - 1) if count > 1 else 0.0
+        taus = start + spacing * np.arange(count)
         filt = CosinePhaseFilter(depth, mod_frequency)
         quad = QuadratureSettings(initial_points=initial_points)
-        values, _, n, _ = _amplitude_grid(params, filt, np.array(taus), quad)
+        values, _, n, _ = _amplitude_grid(params, filt, taus, quad)
         dense = dense_trapezoid(params, filt, taus, n, quad)
         scale_floor = 2.0 * math.sqrt(math.pi) / T
         assert np.max(np.abs(values - dense)) <= 1e-13 * scale_floor
+
+    def test_pieces_match_dense_sum(self, params, T, monkeypatch):
+        # pieces of max(m, _MIN_PIECE) delays: 65 nodes here give four full
+        # pieces and a short last one
+        monkeypatch.setattr(quadrature, "_MIN_PIECE", 16)
+        filt = CosinePhaseFilter(2.0, 50.0)
+        quad = QuadratureSettings(initial_points=64)
+        taus = np.linspace(-100.0, 100.0, 300)
+        values, _, n, _ = _amplitude_grid(params, filt, taus, quad)
+        assert n == 128
+        dense = dense_trapezoid(params, filt, taus, n, quad)
+        assert np.max(np.abs(values - dense)) <= 1e-13 * 2.0 * math.sqrt(math.pi) / T
+
+    def test_memory_does_not_grow_with_the_delay_count(self, params, standard_filter):
+        taus = np.linspace(-3500.0, 3500.0, 200_001)
+        tracemalloc.start()
+        try:
+            rate_grid(params, standard_filter, taus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # at most four delay-length complex arrays (64 B a delay) are live at
+        # once; the FFT work adds O(Q + m), about 1 MB at these 1,035 nodes,
+        # where transforms over all 200,001 delays would add ~3.3 MB each
+        assert peak < 64 * taus.size + 4_000_000
+
+
+class TestUniformGrid:
+    @pytest.mark.parametrize("taus", [[0.0, 1.0, 3.0], [0.0, 1.0, 1.0, 2.0],
+                                      [-600.0, -599.5, 600.0]])
+    def test_non_uniform_grid_refused(self, params, standard_filter, taus):
+        with pytest.raises(ParameterError, match="uniform delay grid"):
+            rate_grid(params, standard_filter, taus)
+        with pytest.raises(ParameterError, match="uniform delay grid"):
+            sample_curve(params, standard_filter, taus, method="quadrature")
 
 
 class TestConvergence:
