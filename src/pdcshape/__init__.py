@@ -17,7 +17,6 @@ from .model import (
     CosinePhaseFilter,
     PhysicalParams,
     SeriesTruncation,
-    amplitude_series,
     characteristic_time,
     count_rate,
     pump_angular_frequency,

@@ -15,14 +15,15 @@ from .errors import (
     WindowError,
 )
 from .model import (
-    _MAX_COMB_CELLS,
     CorrelationCurve,
     CosinePhaseFilter,
     PhysicalParams,
     SeriesTruncation,
     _batches,
-    amplitude_comb,
     characteristic_time,
+    comb_rates,
+    require_cells,
+    require_depth,
     series_halfwidth,
     truncation_for,
 )
@@ -95,13 +96,6 @@ def _pick(seg: np.ndarray, x: np.ndarray, y: np.ndarray, count: int) -> np.ndarr
     return cand[np.searchsorted(seg[cand], np.arange(count))]
 
 
-def _rates(params: PhysicalParams, trunc: SeriesTruncation, betas: np.ndarray,
-           counts: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """|A|^2 of amplitude_comb's runs, as count_rate squares an array of them."""
-    rates = np.abs(amplitude_comb(params, trunc, betas, counts, taus))
-    return np.multiply(rates, rates, out=rates)
-
-
 def _require_resolution(step: float, T: float) -> None:
     """Refuse a delay grid too coarse to resolve the correlation time T."""
     if step > T / 20.0:
@@ -115,13 +109,10 @@ def _scan_size(params: PhysicalParams, filt: CosinePhaseFilter, trunc: SeriesTru
         search_halfwidth = series_halfwidth(params, filt, trunc)
     if search_halfwidth <= grid_step:
         raise ParameterError("search_halfwidth must exceed grid_step")
-    scan_cells = (2.0 * search_halfwidth / grid_step + 1.0) * (2 * trunc.max_order + 1)
-    if scan_cells > _MAX_COMB_CELLS:
-        raise ParameterError(
-            f"the peak scan over +-{search_halfwidth:g} fs in {grid_step:g} fs steps needs "
-            f"{scan_cells:.3g} delay x order cells, over the cap of {_MAX_COMB_CELLS}; "
-            "shrink the search window")
-    return math.ceil(search_halfwidth / grid_step)
+    n = np.ceil(search_halfwidth / grid_step)  # in float: an inf is refused, not converted
+    require_cells(f"the peak scan over +-{search_halfwidth:g} fs in {grid_step:g} fs steps",
+                  2.0 * n + 1.0, trunc, "shrink the search window")
+    return int(n)
 
 
 def _scan_peak(params: PhysicalParams, trunc: SeriesTruncation, betas: np.ndarray,
@@ -153,7 +144,7 @@ def _scan_peak(params: PhysicalParams, trunc: SeriesTruncation, betas: np.ndarra
     ends = np.cumsum(counts)
     ks = (np.arange(run.size) - (ends - counts)[run]) * s[run] - ns[run]
     ks[ends - 1] = ns
-    rates = _rates(params, trunc, betas, counts, ks * grid_step)
+    rates = comb_rates(params, trunc, betas, counts, ks * grid_step)
     top = np.maximum.reduceat(rates, ends - counts)
     reach = (np.maximum(rates[:-1], rates[1:])
              + curvature * (np.diff(ks) * grid_step) ** 2 / 8.0)
@@ -178,7 +169,7 @@ def _scan_peak(params: PhysicalParams, trunc: SeriesTruncation, betas: np.ndarra
             k = np.repeat(gap_first[g0:g1 + 1],
                           np.minimum(ge, hi) - np.maximum(ge - gi, lo)) + np.arange(lo, hi)
             counts = np.minimum(ends[p:q], hi) - np.maximum(begins[p:q], lo)
-            y = _rates(params, trunc, betas[p:q], counts, k * grid_step)
+            y = comb_rates(params, trunc, betas[p:q], counts, k * grid_step)
             r = np.repeat(np.arange(p, q), counts)
             np.maximum.at(top, r, y)
             keep = y >= top[r] - _RATE_TIE
@@ -230,7 +221,7 @@ def _peak_search(params: PhysicalParams, trunc: SeriesTruncation, betas: np.ndar
     seg, live = np.repeat(rows, 9), rows
     while live.size:
         x = _linspace9(lo[live], hi[live])
-        y = _rates(params, trunc, betas[live], np.full(live.size, 9), x.ravel()).reshape(x.shape)
+        y = comb_rates(params, trunc, betas[live], np.full(live.size, 9), x.ravel()).reshape(x.shape)
         at = _pick(seg[:x.size], x.ravel(), y.ravel(), live.size)
         j, span = at % 9, hi[live] - lo[live]
         xs[live], ys[live], pick[live] = x, y, j
@@ -247,7 +238,7 @@ def _peak_search(params: PhysicalParams, trunc: SeriesTruncation, betas: np.ndar
     v, j, yl, yr, curv = v[bent], j[bent], yl[bent], yr[bent], curv[bent]
     vertex = xs[v, j] + 0.5 * (xs[v, j] - xs[v, j - 1]) * (yl - yr) / curv
     vertex = np.clip(vertex, lo[v], hi[v])
-    y_vertex = _rates(params, trunc, betas[v], np.ones(v.size, dtype=np.int64), vertex)
+    y_vertex = comb_rates(params, trunc, betas[v], np.ones(v.size, dtype=np.int64), vertex)
     better = y_vertex >= best_y[v]
     best_x[v[better]], best_y[v[better]] = vertex[better], y_vertex[better]
     return best_x, best_y, hi - lo
@@ -281,9 +272,8 @@ def find_tau_max(params: PhysicalParams, filt: CosinePhaseFilter,
     _check_steps(params, grid_step, refine_tol)
     if trunc is None:
         trunc = truncation_for(filt)
+    require_depth(filt, trunc)
     n = _scan_size(params, filt, trunc, search_halfwidth, grid_step)
-    if trunc.depth != filt.depth:
-        raise ParameterError(f"truncation is for depth {trunc.depth!r}, not {filt.depth!r}")
     tau, rate, width = _peak_search(params, trunc, np.array([filt.mod_frequency]),
                                     np.array([n]), grid_step, refine_tol)
     return TauMaxResult(tau_max=float(tau[0]), rate_at_max=float(rate[0]),

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -123,12 +123,15 @@ class SeriesTruncation:
     max_order: int
     orders: np.ndarray = field(init=False, repr=False, compare=False)
     coefficients: np.ndarray = field(init=False, repr=False, compare=False)
+    table: InitVar[np.ndarray | None] = None  # J_0..J_k(depth), k >= max_order, if at hand
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, table: np.ndarray | None) -> None:
         if self.max_order < 0:
             raise ParameterError("max_order must be >= 0")
+        if table is None:
+            table = bessel_j_table(self.depth, self.max_order)
         orders = np.arange(-self.max_order, self.max_order + 1)
-        j = bessel_j_table(self.depth, self.max_order)[np.abs(orders)]
+        j = table[np.abs(orders)]
         j[(orders < 0) & (orders % 2 != 0)] *= -1.0
         # i^m looked up exactly instead of complex powers, which round
         i_pow = np.array([1.0, 1.0j, -1.0, -1.0j])[np.mod(orders, 4)]
@@ -179,7 +182,8 @@ def truncation_for(filt: CosinePhaseFilter, tol: float = 1e-12) -> SeriesTruncat
         raise ParameterError(f"filter depth {filt.depth} too large for series truncation")
     n = min(math.ceil(filt.depth) + 80, MAX_ORDER)
     while True:
-        j = np.abs(bessel_j_table(filt.depth, n))
+        table = bessel_j_table(filt.depth, n)
+        j = np.abs(table)
         beyond = math.inf
         if j[-1] == 0.0:
             beyond = 0.0
@@ -189,7 +193,7 @@ def truncation_for(filt: CosinePhaseFilter, tol: float = 1e-12) -> SeriesTruncat
         dropped = 2.0 * (np.append(np.cumsum(j[:0:-1])[::-1], 0.0) + beyond)
         passing = np.flatnonzero(dropped < 0.5 * tol)
         if passing.size:
-            return SeriesTruncation(filt.depth, int(passing[0]))
+            return SeriesTruncation(filt.depth, int(passing[0]), table)
         if n == MAX_ORDER:
             raise ParameterError(f"filter depth {filt.depth} too large for series truncation")
         n = min(2 * n, MAX_ORDER)
@@ -217,18 +221,18 @@ def amplitude_comb(params: PhysicalParams, trunc: SeriesTruncation, betas, count
     """Bessel-series amplitudes for runs of delays that each carry their own beta.
 
     The flat delays taus hold one run per mod_frequency betas[r], counts[r]
-    long, in order.  Each run is cut into blocks of _TAU_BLOCK delays from its
-    own start, and a block uses only the run of orders whose lobe centre
-    m*beta lies within R = _LOBE_REACH * T of its [min tau, max tau]: every
-    other term's exp(-s^2) underflows to exactly 0.0 and is skipped, not
-    approximated.  A comb that spans no more than R (2 M beta <= R, which
-    includes beta = 0) keeps every order.  Consecutive blocks of up to
-    _TAU_BLOCK delays in all share one exp(-s^2) evaluation, padded to their
-    widest order run, and then each block takes one complex matmul against
-    its own run's twisted coefficients: a run's values are bit for bit those
-    it gets alone.  The pump twist exp(i m beta omega0 / 2) is formed here
-    only, and a ParameterError refuses it where M beta omega0 / 2 is not
-    finite.
+    long, in order; amplitude normalized so that depth = 0 gives exactly
+    exp(-tau^2/T^2) + 0i.  Each run is cut into blocks of _TAU_BLOCK delays
+    from its own start, and every block uses only the run of orders whose
+    lobe centre m*beta lies within R = _LOBE_REACH * T of its [min tau, max
+    tau]: every other term's exp(-s^2) underflows to exactly 0.0 and is
+    skipped, not approximated.  At beta = 0 that keeps every order near
+    tau = 0 and none far from it.  Consecutive blocks of up to _TAU_BLOCK
+    delays in all share one exp(-s^2) evaluation, padded to their widest
+    order run, and then each block takes one complex matmul against its own
+    run's twisted coefficients: a run's values are bit for bit those it gets
+    alone.  The pump twist exp(i m beta omega0 / 2) is formed here only, and
+    a ParameterError refuses it where M beta omega0 / 2 is not finite.
     """
     T = characteristic_time(params)
     omega0 = pump_angular_frequency(params)
@@ -243,20 +247,21 @@ def amplitude_comb(params: PhysicalParams, trunc: SeriesTruncation, betas, count
                 f"the pump twist M*beta*omega0/2 at M = {m}, beta = {beta:g} fs, omega0 = "
                 f"{omega0:g} rad/fs is not finite; lower beta or the pump frequency")
         begin, stop = stop, stop + count
-        blocks += [[start, min(start + _TAU_BLOCK, stop), r, beta, -m, 2 * m + 1]
+        blocks += [[start, min(start + _TAU_BLOCK, stop), r, beta]
                    for start in range(begin, stop, _TAU_BLOCK)]
-    pruned = [k for k, block in enumerate(blocks) if 2 * m * block[3] > reach]
-    if pruned:
+    if blocks:
         starts = [block[0] for block in blocks]
-        b = np.array([blocks[k][3] for k in pruned])
-        # clipped in float before int; the constant comes first (fmax, fmin)
-        # so that a NaN bound keeps every order
-        low = np.ceil(np.fmin(m + 1, np.fmax(-m, (np.minimum.reduceat(taus, starts)[pruned]
-                                                   - reach) / b))).astype(np.int64)
-        high = np.floor(np.fmax(-m - 1, np.fmin(m, (np.maximum.reduceat(taus, starts)[pruned]
-                                                    + reach) / b))).astype(np.int64)
-        for k, a, w in zip(pruned, low.tolist(), np.maximum(high - low + 1, 0).tolist()):
-            blocks[k][4:] = a, w
+        b = np.array([block[3] for block in blocks])
+        # clipped in float before int; the constant comes first (fmax, fmin) so
+        # that a NaN bound (0 / 0 at beta = 0) keeps every order, and a bound
+        # that divides by zero or overflows (a subnormal beta) is clipped
+        with np.errstate(all="ignore"):
+            low = np.ceil(np.fmin(m + 1, np.fmax(-m, (np.minimum.reduceat(taus, starts)
+                                                      - reach) / b))).astype(np.int64)
+            high = np.floor(np.fmax(-m - 1, np.fmin(m, (np.maximum.reduceat(taus, starts)
+                                                        + reach) / b))).astype(np.int64)
+        for block, a, w in zip(blocks, low.tolist(), np.maximum(high - low + 1, 0).tolist()):
+            block += [a, w]
     out = np.empty(taus.size, dtype=complex)
     for i, j in _batches([block[1] - block[0] for block in blocks], _TAU_BLOCK):
         # blocks i .. j - 1, up to _TAU_BLOCK delays in all, share one exp
@@ -286,27 +291,38 @@ def amplitude_comb(params: PhysicalParams, trunc: SeriesTruncation, betas, count
     return out
 
 
-def amplitude_series(params: PhysicalParams, filt: CosinePhaseFilter,
-                     trunc: SeriesTruncation, tau) -> complex | np.ndarray:
-    """Bessel-series pair amplitude at delay tau (fs); scalar in, scalar out.
+def comb_rates(params: PhysicalParams, trunc: SeriesTruncation, betas, counts,
+               taus: np.ndarray) -> np.ndarray:
+    """Normalized coincidence rates |A|^2 for amplitude_comb's runs of delays."""
+    rates = np.abs(amplitude_comb(params, trunc, betas, counts, taus))
+    return np.multiply(rates, rates, out=rates)  # x * x, not pow
 
-    Normalized so that depth = 0 gives exactly exp(-tau^2/T^2) + 0i.  This is
-    amplitude_comb with one run: its blocks bound memory for any delay count.
-    """
+
+def require_depth(filt: CosinePhaseFilter, trunc: SeriesTruncation) -> None:
+    """Refuse a truncation built for another depth than filt's."""
     if trunc.depth != filt.depth:
         raise ParameterError(f"truncation is for depth {trunc.depth!r}, not {filt.depth!r}")
-    taus = np.asarray(tau, dtype=float)
-    out = amplitude_comb(params, trunc, [filt.mod_frequency], [taus.size],
-                         taus.ravel()).reshape(taus.shape)
-    return complex(out) if out.ndim == 0 else out
 
 
 def count_rate(params: PhysicalParams, filt: CosinePhaseFilter,
                trunc: SeriesTruncation, tau) -> float | np.ndarray:
-    """Normalized coincidence rate |A(tau)|^2; equals exp(-2 tau^2/T^2) at depth 0."""
-    out = np.abs(np.asarray(amplitude_series(params, filt, trunc, tau)))
-    out = out * out  # not ** 2, which is pow for a 0-d input
-    return float(out) if out.ndim == 0 else out
+    """comb_rates at delays tau (fs) as one run; scalar in, scalar out.  At depth 0
+    it is exp(-2 tau^2/T^2), with the peak normalized to exactly 1."""
+    require_depth(filt, trunc)
+    taus = np.asarray(tau, dtype=float)
+    rates = comb_rates(params, trunc, [filt.mod_frequency], [taus.size],
+                       taus.ravel()).reshape(taus.shape)
+    return float(rates) if rates.ndim == 0 else rates
+
+
+def require_cells(what: str, delays: float, trunc: SeriesTruncation, remedy: str) -> None:
+    """Refuse delays x the 2M + 1 orders over the cell cap; delays may be a float, even inf."""
+    orders = 2 * trunc.max_order + 1
+    cells = delays * orders
+    if not cells <= _MAX_COMB_CELLS:
+        raise ParameterError(
+            f"{what} needs {delays:.12g} delays x {orders} series orders = {cells:.3g} cells, "
+            f"over the cap of {_MAX_COMB_CELLS}; {remedy}")
 
 
 @dataclass
@@ -348,12 +364,8 @@ def sample_curve(params: PhysicalParams, filt: CosinePhaseFilter, tau_grid,
     if method == "series":
         if trunc is None:
             trunc = truncation_for(filt)
-        orders = 2 * trunc.max_order + 1
-        if tau_grid.size * orders > _MAX_COMB_CELLS:
-            raise ParameterError(
-                f"the curve over {tau_grid.size} delays x {orders} series orders needs "
-                f"{tau_grid.size * orders:.3g} cells, over the cap of {_MAX_COMB_CELLS}; "
-                "use fewer points")
+        require_cells(f"the curve over {tau_grid[0]:g} .. {tau_grid[-1]:g} fs", tau_grid.size,
+                      trunc, "use fewer points")
         rates = count_rate(params, filt, trunc, tau_grid)
     else:
         from .quadrature import rate_grid  # deferred: quadrature imports this module

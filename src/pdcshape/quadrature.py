@@ -37,6 +37,7 @@ from .model import (
     characteristic_time,
     count_rate,
     pump_angular_frequency,
+    require_cells,
     series_halfwidth,
     truncation_for,
 )
@@ -327,14 +328,11 @@ def _comparison_halfcount(params: PhysicalParams, filt: CosinePhaseFilter, spaci
     """n of comparison_grid's 2n + 1 delays; ParameterError if the grid is over the cap."""
     if spacing <= 0:
         raise ParameterError("spacing must be > 0")
-    n = math.ceil(series_halfwidth(params, filt, trunc) / spacing)
-    orders = 2 * trunc.max_order + 1
-    if (2 * n + 1) * orders > _MAX_COMB_CELLS:
-        raise ParameterError(
-            f"the comparison grid over {2 * n + 1} delays x {orders} series orders needs "
-            f"{(2 * n + 1) * orders:.3g} cells, over the cap of {_MAX_COMB_CELLS}; "
-            "use a coarser spacing or a shorter correlation time")
-    return n
+    half = series_halfwidth(params, filt, trunc)
+    n = np.ceil(half / spacing)  # in float: an inf is refused, not converted
+    require_cells(f"the comparison grid over +-{half:g} fs in {spacing:g} fs steps",
+                  2.0 * n + 1.0, trunc, "use a coarser spacing or a shorter correlation time")
+    return int(n)
 
 
 def comparison_grid(params: PhysicalParams, filt: CosinePhaseFilter,

@@ -92,6 +92,13 @@ class TestFindTauMax:
         with pytest.raises(ParameterError):
             find_tau_max(params, standard_filter, **kwargs)
 
+    def test_truncation_depth_checked_before_the_window(self, params):
+        # sized with this depth-10 truncation, the beta = 1e6 fs window would be
+        # over the cell cap; the mismatch is what is wrong, so it is what is reported
+        with pytest.raises(ParameterError, match="truncation is for depth 10.0, not 0.0"):
+            find_tau_max(params, CosinePhaseFilter(0.0, 1e6),
+                         trunc=truncation_for(CosinePhaseFilter(10.0, 0.0)))
+
     @pytest.mark.parametrize("beta", [48.0, 50.5, 53.0])
     def test_grid_step_independence(self, params, beta):
         filt = CosinePhaseFilter(2.0, beta)
@@ -169,13 +176,13 @@ class TestPrunedScan:
     def test_large_depth_keeps_result_and_evaluates_no_more(self, params, T, monkeypatch):
         # at depth 10 the curvature bound rules out little: every gap is filled
         sizes = []
-        original = analysis.amplitude_comb
+        original = analysis.comb_rates
 
         def counting(*args):
             sizes.append(np.size(args[4]))
             return original(*args)
 
-        monkeypatch.setattr(analysis, "amplitude_comb", counting)  # not the oracle's
+        monkeypatch.setattr(analysis, "comb_rates", counting)  # not the oracle's
         filt = CosinePhaseFilter(10.0, 1000.0)
         k, n = self.picks(params, T, filt, 0.5)
         assert sum(sizes) <= 2 * n + 1
@@ -258,13 +265,13 @@ class TestScanBatches:
         # at depth 10 the fills of betas 300 and 301 exceed _FILL_DELAYS: each
         # goes alone, in pieces counted from its own first fill row
         calls = []
-        original = analysis._rates
+        original = analysis.comb_rates
 
         def spying(params, trunc, betas, counts, taus):
             calls.append((np.asarray(betas).tolist(), np.asarray(counts).tolist()))
             return original(params, trunc, betas, counts, taus)
 
-        monkeypatch.setattr(analysis, "_rates", spying)
+        monkeypatch.setattr(analysis, "comb_rates", spying)
         trunc = truncation_for(CosinePhaseFilter(10.0, 0.0))
         betas = np.array([0.0, 300.0, 301.0])
         ns = TestLockstepSearch.windows(params, trunc, betas, 0.5)
@@ -314,8 +321,8 @@ class TestSweep:
             sweep_beta(params, 2.0, 50.0, 48.0, 0.1)
 
     def test_series_built_once_per_depth(self, params, monkeypatch):
-        # one table for choosing the cutoff and one for the coefficients,
-        # however many betas the sweep visits
+        # the table that chose the cutoff also gives the coefficients, however
+        # many betas the sweep visits
         calls = []
         original = model.bessel_j_table
 
@@ -326,7 +333,7 @@ class TestSweep:
         monkeypatch.setattr(model, "bessel_j_table", counting)
         sweep = sweep_beta(params, 2.0, 48.0, 53.0, 0.1)
         assert sweep.beta_values.size == 51
-        assert len(calls) <= 2
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("alpha,start,end,step", [(2.0, 48.0, 53.0, 0.01),
                                                       (10.0, 300.0, 305.0, 0.5)])

@@ -324,11 +324,14 @@ class TestExitCodes:
         # T = 5.2e6 fs: the depth-0 grids (5.2 M delays) fit the cap, depth 1's do not,
         # and every cell is sized before any computes
         (["validate", "--u", "1e4"], "error: the comparison grid over"),
+        # T = 5.2e307 fs: the grid's half-width M beta + 5T overflows to inf
+        (["validate", "--eps-perp-um", "1e297", "--u", "0.01"],
+         "error: the comparison grid over"),
         # past MAX_ORDER no series cutoff exists, and the Bessel table's DFT would grow with it
         (["curve", "--alpha", "1e7"], "error: filter depth 10000000.0 too large for series"),
         (["curve", "--alpha", "1e300"], "error: filter depth 1e+300 too large for series"),
     ], ids=["sweep-beta", "tau-max", "curve-points", "curve-cells", "validate-grid",
-            "validate-grid-depth-1", "curve-depth-1e7", "curve-depth-1e300"])
+            "validate-grid-depth-1", "validate-grid-inf", "curve-depth-1e7", "curve-depth-1e300"])
     def test_usage_error_on_oversized_work(self, tmp_path, capsys, argv, message):
         tracemalloc.start()
         try:

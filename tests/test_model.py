@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
 
@@ -13,7 +13,6 @@ from pdcshape import (
     ParameterError,
     PhysicalParams,
     SeriesTruncation,
-    amplitude_series,
     bessel_j_table,
     characteristic_time,
     count_rate,
@@ -23,6 +22,15 @@ from pdcshape import (
 )
 from pdcshape.model import _TAU_BLOCK, amplitude_comb, series_halfwidth
 from pdcshape.quadrature import VALIDATION_DEPTHS
+
+
+
+def one_run(params, filt, trunc, tau):
+    """amplitude_comb over the delays tau as one run at filt's beta, in tau's shape."""
+    taus = np.asarray(tau, dtype=float)
+    return amplitude_comb(params, trunc, [filt.mod_frequency], [taus.size],
+                          taus.ravel()).reshape(taus.shape)
+
 
 depths = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
 mod_freqs = st.floats(min_value=0.0, max_value=1000.0, allow_nan=False)
@@ -169,28 +177,28 @@ class TestTruncation:
 class TestAmplitude:
     def test_no_filter_is_exact_gaussian(self, params, no_filter):
         trunc = truncation_for(no_filter)
-        assert amplitude_series(params, no_filter, trunc, 0.0) == 1.0 + 0.0j
+        assert one_run(params, no_filter, trunc, 0.0) == 1.0 + 0.0j
         T = characteristic_time(params)
         taus = np.linspace(-600, 600, 41)
-        amps = amplitude_series(params, no_filter, trunc, taus)
+        amps = one_run(params, no_filter, trunc, taus)
         assert np.array_equal(amps.imag, np.zeros(41))
         assert np.array_equal(amps.real, np.exp(-(taus / T) ** 2))
 
     def test_closure_at_zero_mod_frequency(self, params):
         # sum_m i^m J_m(2) = e^{2i}
         filt = CosinePhaseFilter(2.0, 0.0)
-        a = amplitude_series(params, filt, truncation_for(filt), 0.0)
+        a = one_run(params, filt, truncation_for(filt), 0.0)
         assert a == pytest.approx(complex(np.cos(2.0), np.sin(2.0)), abs=1e-9)
 
     def test_isolated_lobe_magnitude(self, params):
         # at beta >> T the m = 1 term stands alone, so |A(beta)| ~ J_1(2)
         filt = CosinePhaseFilter(2.0, 1000.0)
-        a = amplitude_series(params, filt, truncation_for(filt), 1000.0)
+        a = one_run(params, filt, truncation_for(filt), 1000.0)
         assert abs(a) == pytest.approx(0.576725, abs=1e-3)
 
 
 class TestBlockedComb:
-    """amplitude_series, in blocks and pruned, against the one-matrix comb."""
+    """amplitude_comb, in blocks and pruned, against the one-matrix comb."""
 
     @pytest.mark.parametrize("depth,beta,tau", [
         (2.0, 50.0, 123.0),                                      # scalar
@@ -211,12 +219,12 @@ class TestBlockedComb:
     def test_matches_dense_comb(self, params, depth, beta, tau):
         filt = CosinePhaseFilter(depth, beta)
         trunc = truncation_for(filt)
-        got = amplitude_series(params, filt, trunc, tau)
+        got = one_run(params, filt, trunc, tau)
         want = dense_comb(params, filt, trunc, tau)
         assert np.shape(got) == np.shape(tau)
-        if np.ndim(tau) == 0:
-            assert isinstance(got, complex)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        rate = count_rate(params, filt, trunc, tau)  # scalar in, scalar out
+        assert isinstance(rate, float) if np.ndim(tau) == 0 else np.shape(rate) == np.shape(tau)
 
     @pytest.mark.parametrize("offset", [-1.0, 1.0])
     def test_block_far_from_every_lobe_is_exactly_zero(self, params, offset):
@@ -224,13 +232,23 @@ class TestBlockedComb:
         # 28 T ~ 7,250 fs from these blocks, so none is evaluated
         filt = CosinePhaseFilter(10.0, 1000.0)
         taus = offset * np.linspace(40_000.0, 60_000.0, 2 * _TAU_BLOCK + 3)
-        got = amplitude_series(params, filt, truncation_for(filt), taus)
+        got = one_run(params, filt, truncation_for(filt), taus)
         assert got.shape == taus.shape
+        assert np.array_equal(got, np.zeros(taus.size, dtype=complex))
+
+    @pytest.mark.parametrize("beta", [0.0, 1.1125369292536007e-308])
+    def test_zero_beta_far_from_the_lobe_is_exactly_zero(self, params, beta):
+        # every lobe sits at m * beta ~ 0; these blocks lie over 28 T from it,
+        # so no order is evaluated (the bound divides by zero, or overflows)
+        filt = CosinePhaseFilter(10.0, beta)
+        taus = np.concatenate([np.linspace(-60_000.0, -40_000.0, _TAU_BLOCK),
+                               np.linspace(40_000.0, 60_000.0, _TAU_BLOCK)])
+        got = one_run(params, filt, truncation_for(filt), taus)
         assert np.array_equal(got, np.zeros(taus.size, dtype=complex))
 
     def test_runs_get_their_own_values(self, params):
         # runs of several betas share exp evaluations; each must still read
-        # bit for bit what amplitude_series gives it alone: short runs that
+        # bit for bit what it gets as a run alone: short runs that
         # share a block's worth of delays, empty runs, pruned runs with
         # different order windows, and runs of several blocks
         trunc = truncation_for(CosinePhaseFilter(10.0, 0.0))
@@ -239,7 +257,7 @@ class TestBlockedComb:
         runs = [rng.uniform(-3000, 3000, size) for size in
                 (9, 1, 0, 130, 9, 2 * _TAU_BLOCK + 5, 0, 700)]
         got = amplitude_comb(params, trunc, betas, [r.size for r in runs], np.concatenate(runs))
-        want = [amplitude_series(params, CosinePhaseFilter(10.0, b), trunc, r)
+        want = [one_run(params, CosinePhaseFilter(10.0, b), trunc, r)
                 for b, r in zip(betas, runs)]
         assert np.array_equal(got, np.concatenate(want))
 
@@ -278,6 +296,8 @@ class TestCountRate:
     @given(depth=depths, beta=mod_freqs,
            tau=st.floats(min_value=-3000, max_value=3000, allow_nan=False))
     @settings(max_examples=40, deadline=None)
+    # a subnormal beta overflows the comb's order bounds (tau - R) / beta
+    @example(depth=0.0, beta=1.1125369292536007e-308, tau=0.0)
     def test_rate_nonnegative_and_bounded(self, params, depth, beta, tau):
         filt = CosinePhaseFilter(depth, beta)
         trunc = truncation_for(filt)

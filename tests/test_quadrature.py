@@ -13,7 +13,6 @@ from pdcshape import (
     ParameterError,
     QuadratureSettings,
     amplitude_quadrature,
-    amplitude_series,
     compare_methods,
     comparison_grid,
     pump_angular_frequency,
@@ -22,6 +21,7 @@ from pdcshape import (
     truncation_for,
 )
 from pdcshape import quadrature
+from pdcshape.model import amplitude_comb
 from pdcshape.quadrature import DEFAULT_SETTINGS, _amplitude_grid, _baseline_raw
 
 
@@ -36,7 +36,8 @@ class TestAmplitude:
 
     def test_matches_series_at_zero_delay(self, params, standard_filter):
         trunc = truncation_for(standard_filter)
-        series = amplitude_series(params, standard_filter, trunc, 0.0)
+        series = amplitude_comb(params, trunc, [standard_filter.mod_frequency], [1],
+                                np.zeros(1))[0]
         quad = amplitude_quadrature(params, standard_filter, 0.0)
         assert abs(series - quad.value) <= 1e-9
 
