@@ -221,7 +221,8 @@ def _peak_search(params: PhysicalParams, trunc: SeriesTruncation, betas: np.ndar
     seg, live = np.repeat(rows, 9), rows
     while live.size:
         x = _linspace9(lo[live], hi[live])
-        y = comb_rates(params, trunc, betas[live], np.full(live.size, 9), x.ravel()).reshape(x.shape)
+        y = comb_rates(params, trunc, betas[live], np.full(live.size, 9),
+                       x.ravel()).reshape(x.shape)
         at = _pick(seg[:x.size], x.ravel(), y.ravel(), live.size)
         j, span = at % 9, hi[live] - lo[live]
         xs[live], ys[live], pick[live] = x, y, j

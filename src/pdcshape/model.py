@@ -164,6 +164,23 @@ DEFAULT_PARAMS = PhysicalParams(
 )
 
 
+def pump_phase(params: PhysicalParams, beta: float, max_order: int = 1) -> float:
+    """The pump phase theta = beta*omega0/2 reduced modulo 2 pi, into [-pi, pi].
+
+    Both routes take theta from here: the comb's twist exp(i m theta) and the
+    quadrature's cos(theta - beta nu).  Unreduced, theta reaches ~5e16 rad at
+    1e-12 nm, where m theta is no longer m times one angle.  A ParameterError
+    refuses a max_order * theta that is not finite.
+    """
+    omega0 = pump_angular_frequency(params)
+    theta = 0.5 * beta * omega0
+    if not math.isfinite(max_order * theta):  # Python floats overflow quietly
+        raise ParameterError(
+            f"the pump twist M*beta*omega0/2 at M = {max_order}, beta = {beta:g} fs, omega0 = "
+            f"{omega0:g} rad/fs is not finite; lower beta or the pump frequency")
+    return math.remainder(theta, 2.0 * math.pi)
+
+
 def truncation_for(filt: CosinePhaseFilter, tol: float = 1e-12) -> SeriesTruncation:
     """Smallest symmetric cutoff M for the given filter depth.
 
@@ -231,21 +248,17 @@ def amplitude_comb(params: PhysicalParams, trunc: SeriesTruncation, betas, count
     delays in all share one exp(-s^2) evaluation, padded to their widest
     order run, and then each block takes one complex matmul against its own
     run's twisted coefficients: a run's values are bit for bit those it gets
-    alone.  The pump twist exp(i m beta omega0 / 2) is formed here only, and
-    a ParameterError refuses it where M beta omega0 / 2 is not finite.
+    alone.  The pump twist exp(i m theta) is formed here only, from
+    pump_phase's reduced theta, which refuses an M theta that is not finite.
     """
     T = characteristic_time(params)
-    omega0 = pump_angular_frequency(params)
     m, reach = trunc.max_order, _LOBE_REACH * T
     betas = np.asarray(betas, dtype=float)
+    thetas = np.array([pump_phase(params, beta, m) for beta in betas.tolist()])
     # blocks [start, stop) of run r at beta, keeping orders first .. first + width - 1
     blocks = []
     stop = 0
     for r, (count, beta) in enumerate(zip(np.asarray(counts).tolist(), betas.tolist())):
-        if not math.isfinite(m * (0.5 * beta * omega0)):  # Python floats overflow quietly
-            raise ParameterError(
-                f"the pump twist M*beta*omega0/2 at M = {m}, beta = {beta:g} fs, omega0 = "
-                f"{omega0:g} rad/fs is not finite; lower beta or the pump frequency")
         begin, stop = stop, stop + count
         blocks += [[start, min(start + _TAU_BLOCK, stop), r, beta]
                    for start in range(begin, stop, _TAU_BLOCK)]
@@ -283,8 +296,7 @@ def amplitude_comb(params: PhysicalParams, trunc: SeriesTruncation, betas, count
             np.multiply(g, g, out=g)
             np.exp(np.negative(g, out=g), out=g)  # exp(-s * s)
         r0, r1 = chunk[0][2], chunk[-1][2]
-        coeff = trunc.coefficients * np.exp(
-            1j * trunc.orders * (0.5 * betas[r0:r1 + 1, None] * omega0))
+        coeff = trunc.coefficients * np.exp(1j * trunc.orders * thetas[r0:r1 + 1, None])
         for start, stop, r, _, first, w in chunk:
             np.matmul(g[start - lo:stop - lo, :w], coeff[r - r0, first + m:first + m + w],
                       out=out[start:stop])

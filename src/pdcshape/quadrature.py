@@ -3,10 +3,12 @@
 The amplitude is evaluated as the frequency integral
 
     A(tau) = integral dnu  e^{i nu tau} e^{-(T/2)^2 nu^2}
-                           e^{i depth cos(mod_frequency (omega0/2 - nu))}
+                           e^{i depth cos(theta - mod_frequency nu)}
 
-over a truncated symmetric window, by a composite trapezoid rule whose point
-count doubles until two successive estimates agree.  The levels are nested:
+with the pump phase theta = mod_frequency omega0 / 2 reduced modulo 2 pi
+(model.pump_phase, as the series twist takes it), over a truncated symmetric
+window, by a composite trapezoid rule whose point count doubles until two
+successive estimates agree.  The levels are nested:
 the first coarse estimate sums the even nodes, and every finer estimate is
 half the previous one plus the new odd midpoints, so each node is weighted
 and summed once.  The delays must form a uniform grid (linspace, arange times
@@ -36,7 +38,7 @@ from .model import (
     SeriesTruncation,
     characteristic_time,
     count_rate,
-    pump_angular_frequency,
+    pump_phase,
     require_cells,
     series_halfwidth,
     truncation_for,
@@ -243,7 +245,6 @@ def _amplitude_grid(params: PhysicalParams, filt: CosinePhaseFilter, taus: np.nd
     """
     taus = np.asarray(taus, dtype=float)
     T = characteristic_time(params)
-    omega0 = pump_angular_frequency(params)
     nu_max = nu_halfwidth(params, settings)
     # convergence floor: the depth-0 peak integral, so near-zero tails are
     # judged against the curve scale rather than against themselves
@@ -251,12 +252,13 @@ def _amplitude_grid(params: PhysicalParams, filt: CosinePhaseFilter, taus: np.nd
 
     n_coarse = _required_intervals(nu_max, taus, filt, settings)
     _check_uniform(taus)
+    theta = pump_phase(params, filt.mod_frequency)
     n = 2 * n_coarse
 
     def node_weights(start: float, step: float, count: int) -> np.ndarray:
         nus = start + step * np.arange(count)
         return np.exp(-(0.5 * T * nus) ** 2
-                      + 1j * filt.depth * np.cos(filt.mod_frequency * (0.5 * omega0 - nus)))
+                      + 1j * filt.depth * np.cos(theta - filt.mod_frequency * nus))
 
     # nested trapezoid levels: the coarse estimate comes from the even nodes,
     # and each level adds only its odd midpoints to half the previous sum

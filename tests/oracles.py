@@ -38,15 +38,21 @@ def series_bessel_j(m: int, x: float) -> float:
         return float(mpmath.besselj(m, mpmath.mpf(x)))
 
 
+def reduced_pump_phase(params, filt) -> float:
+    """mod_frequency * omega0 / 2, reduced modulo 2 pi by the exact IEEE remainder."""
+    return math.remainder(0.5 * filt.mod_frequency * pump_angular_frequency(params),
+                          2.0 * math.pi)
+
+
 def dense_trapezoid(params, filt, taus, intervals: int, settings) -> np.ndarray:
     """Raw trapezoid sum_j w_j exp(i tau nu_j) over intervals + 1 nodes, one
     complex exponential per (tau, node) pair."""
     T = characteristic_time(params)
-    omega0 = pump_angular_frequency(params)
     nu_max = nu_halfwidth(params, settings)
     nus = np.linspace(-nu_max, nu_max, intervals + 1)
     w = np.exp(-(0.5 * T * nus) ** 2
-               + 1j * filt.depth * np.cos(filt.mod_frequency * (0.5 * omega0 - nus)))
+               + 1j * filt.depth * np.cos(reduced_pump_phase(params, filt)
+                                          - filt.mod_frequency * nus))
     w *= 2.0 * nu_max / intervals
     w[0] *= 0.5
     w[-1] *= 0.5
@@ -56,8 +62,7 @@ def dense_trapezoid(params, filt, taus, intervals: int, settings) -> np.ndarray:
 def dense_comb(params, filt, trunc, tau):
     """Series amplitude from one delays x orders matrix, every order on every delay."""
     T = characteristic_time(params)
-    omega0 = pump_angular_frequency(params)
-    coeff = trunc.coefficients * np.exp(1j * trunc.orders * (0.5 * filt.mod_frequency * omega0))
+    coeff = trunc.coefficients * np.exp(1j * trunc.orders * reduced_pump_phase(params, filt))
     shifts = (np.asarray(tau, dtype=float)[..., None] - trunc.orders * filt.mod_frequency) / T
     return np.exp(-shifts * shifts) @ coeff
 

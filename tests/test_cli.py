@@ -420,13 +420,38 @@ class TestExitCodes:
                      "--tau-min", "-100000", "--tau-max", "100000",
                      "--config", str(f), "--out", str(tmp_path / "x.csv")]) == 5
 
-    def test_nonconvergence_exit_code_at_rounding_limited_pump(self, tmp_path, capsys):
-        # at 1e-9 nm the filter phase argument is ~1e10 rad, so rounding noise
-        # keeps successive levels apart until the 2**20 budget runs out
+    def test_validate_converges_at_rounding_limited_pump(self, tmp_path, capsys):
+        # at 1e-9 nm the pump phase beta omega0 / 2 is ~1e10 rad; unreduced, its
+        # rounding noise kept successive levels apart until the 2**20 budget ran
+        # out (exit 5).  Reduced modulo 2 pi once, both routes agree as anywhere.
         assert main(["validate", "--lambda-nm", "1e-9",
-                     "--out", str(tmp_path / "v.csv")]) == 5
+                     "--out", str(tmp_path / "v.csv")]) == 0
+        assert "worst series/quadrature rate difference" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lam", ["1e-300", "1e-12"])
+    @pytest.mark.parametrize("argv,column", [
+        (["tau-max", "--alpha", "2", "--beta", "50"], 2),
+        (["curve", "--points", "201"], 1),
+        (["curve", "--points", "201", "--method", "quadrature"], 1),
+    ], ids=["tau-max", "curve", "curve-quadrature"])
+    def test_rates_stay_at_most_one_at_tiny_wavelength(self, tmp_path, lam, argv, column):
+        # the pump phase reaches ~1e305 rad at 1e-300 nm; |A| <= 1 holds exactly,
+        # so no printed rate may exceed 1 by more than round-off
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--lambda-nm", lam, "--out", str(out)]) == 0
+        rates = [float(row.split(",")[column]) for row in data_rows(out)]
+        assert rates and all(0.0 <= r <= 1.0 + 1e-9 for r in rates)
+
+    @pytest.mark.filterwarnings("error")
+    def test_quadrature_refuses_overflowing_pump_phase(self, tmp_path, capsys):
+        # beta omega0 / 2 = 100 x 3.1e306 overflows: exit 2 at once, as the
+        # series route does, rather than NaN weights spending the whole budget
+        assert main(["curve", "--method", "quadrature", "--points", "3", "--beta", "100",
+                     "--light-speed", "1e300", "--lambda-nm", "1e-12",
+                     "--out", str(tmp_path / "x.csv")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: no convergence at 1048576 intervals")
+        assert err.startswith("error: the pump twist M*beta*omega0/2 at M = 1, beta = 100 fs")
         assert err.count("\n") == 1
 
 
