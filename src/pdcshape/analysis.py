@@ -29,10 +29,7 @@ from .model import (
 )
 
 _RATE_TIE = 1e-12  # rates closer than this are treated as tied
-# Checked before anything is allocated; the peak-search grid is held to the
-# model's delay x order cap as if all of it were evaluated, its worst case
-# (`tau-max --alpha 2 --beta 1000` has 65,177 x 31 cells).  fig2 sweeps 501
-# modulation frequencies.
+# Checked before anything is allocated; fig2 sweeps 501 modulation frequencies.
 _MAX_SWEEP_STEPS = 100_000
 # Scan-grid delays (2n + 1 a beta) of the betas that sweep_beta searches in
 # lockstep at once; a group holds at least one beta.
@@ -104,7 +101,8 @@ def _require_resolution(step: float, T: float) -> None:
 
 def _scan_size(params: PhysicalParams, filt: CosinePhaseFilter, trunc: SeriesTruncation,
                search_halfwidth: float | None, grid_step: float) -> int:
-    """The n of filt's scan grid k*grid_step, |k| <= n, checked against the cell cap."""
+    """The n of filt's scan grid k*grid_step, |k| <= n, held to the cell cap as if all of it
+    were evaluated, its worst case (`tau-max --alpha 2 --beta 1000` has 65,177 x 31 cells)."""
     if search_halfwidth is None:
         search_halfwidth = series_halfwidth(params, filt, trunc)
     if search_halfwidth <= grid_step:

@@ -31,11 +31,11 @@ LIGHT_SPEED_DEFAULT = 3.0e8  # m/s, pinned round value; override via PhysicalPar
 
 _METHODS = ("series", "quadrature")
 
-# Cap on delay x series order cells, checked before a comb or peak scan is
-# evaluated; it bounds time, as the comb's memory is bounded per block.  fig4
-# and fig3 evaluate 14,001 and 2,401 delays x at most 63 orders, and fig2's
-# peak-search grid holds 8,361 x 31.  The quadrature's interval budget shares
-# this cap.
+# Cap on delay x series order cells, checked (require_cells) before a curve,
+# peak scan or comparison grid is evaluated; it bounds time, as the comb's
+# memory is bounded per block.  fig4 and fig3 evaluate 14,001 and 2,401 delays
+# x at most 63 orders, and fig2's peak-search grid holds 8,361 x 31.  The
+# quadrature's interval budget shares this cap.
 _MAX_COMB_CELLS = 2**24
 # Delays per block of the series comb: at most _TAU_BLOCK x (2M + 1) cells are
 # held at once (about 2 MB at depth 10).
@@ -165,13 +165,10 @@ DEFAULT_PARAMS = PhysicalParams(
 
 
 def pump_phase(params: PhysicalParams, beta: float, max_order: int = 1) -> float:
-    """The pump phase theta = beta*omega0/2 reduced modulo 2 pi, into [-pi, pi].
-
-    Both routes take theta from here: the comb's twist exp(i m theta) and the
-    quadrature's cos(theta - beta nu).  Unreduced, theta reaches ~5e16 rad at
+    """theta = beta*omega0/2 reduced modulo 2 pi, for the comb's twist exp(i m theta) and
+    the quadrature's cos(theta - beta nu) alike: unreduced, it reaches ~5e16 rad at
     1e-12 nm, where m theta is no longer m times one angle.  A ParameterError
-    refuses a max_order * theta that is not finite.
-    """
+    refuses a max_order * theta that is not finite."""
     omega0 = pump_angular_frequency(params)
     theta = 0.5 * beta * omega0
     if not math.isfinite(max_order * theta):  # Python floats overflow quietly
@@ -255,51 +252,40 @@ def amplitude_comb(params: PhysicalParams, trunc: SeriesTruncation, betas, count
     m, reach = trunc.max_order, _LOBE_REACH * T
     betas = np.asarray(betas, dtype=float)
     thetas = np.array([pump_phase(params, beta, m) for beta in betas.tolist()])
-    # blocks [start, stop) of run r at beta, keeping orders first .. first + width - 1
-    blocks = []
-    stop = 0
-    for r, (count, beta) in enumerate(zip(np.asarray(counts).tolist(), betas.tolist())):
-        begin, stop = stop, stop + count
-        blocks += [[start, min(start + _TAU_BLOCK, stop), r, beta]
-                   for start in range(begin, stop, _TAU_BLOCK)]
-    if blocks:
-        starts = [block[0] for block in blocks]
-        b = np.array([block[3] for block in blocks])
-        # clipped in float before int; the constant comes first (fmax, fmin) so
-        # that a NaN bound (0 / 0 at beta = 0) keeps every order, and a bound
-        # that divides by zero or overflows (a subnormal beta) is clipped
-        with np.errstate(all="ignore"):
-            low = np.ceil(np.fmin(m + 1, np.fmax(-m, (np.minimum.reduceat(taus, starts)
-                                                      - reach) / b))).astype(np.int64)
-            high = np.floor(np.fmax(-m - 1, np.fmin(m, (np.maximum.reduceat(taus, starts)
-                                                        + reach) / b))).astype(np.int64)
-        for block, a, w in zip(blocks, low.tolist(), np.maximum(high - low + 1, 0).tolist()):
-            block += [a, w]
+    # block k: delays start[k]:stop[k] of run[k], orders first[k] .. first[k] + width[k] - 1
+    counts = np.asarray(counts, dtype=np.int64)
+    ends, per_run = np.cumsum(counts), -(-counts // _TAU_BLOCK)
+    run = np.repeat(np.arange(counts.size), per_run)
+    start = ((ends - counts)[run]
+             + _TAU_BLOCK * (np.arange(run.size) - (np.cumsum(per_run) - per_run)[run]))
+    stop = np.minimum(start + _TAU_BLOCK, ends[run])
+    b = betas[run]
+    # clipped in float before int; the constant comes first (fmax, fmin) so
+    # that a NaN bound (0 / 0 at beta = 0) keeps every order, and a bound
+    # that divides by zero or overflows (a subnormal beta) is clipped
+    with np.errstate(all="ignore"):
+        first = np.ceil(np.fmin(m + 1, np.fmax(-m, (np.minimum.reduceat(taus, start)
+                                                    - reach) / b))).astype(np.int64)
+        last = np.floor(np.fmax(-m - 1, np.fmin(m, (np.maximum.reduceat(taus, start)
+                                                    + reach) / b))).astype(np.int64)
+    width = np.maximum(last - first + 1, 0)
     out = np.empty(taus.size, dtype=complex)
-    for i, j in _batches([block[1] - block[0] for block in blocks], _TAU_BLOCK):
-        # blocks i .. j - 1, up to _TAU_BLOCK delays in all, share one exp
-        chunk = blocks[i:j]
-        lo = chunk[0][0]
-        span = np.arange(max(block[5] for block in chunk))
+    for i, j in _batches(stop - start, _TAU_BLOCK):
+        # blocks i .. j - 1, up to _TAU_BLOCK delays in all, share one exp;
         # cells past a block's own orders are padding and never read; where
         # s * s overflows there (or far from every lobe), exp gives the exact 0.0
+        lo, r0 = start[i], run[i]
         with np.errstate(over="ignore"):
-            if j - i == 1:
-                centres = (chunk[0][4] + span) * chunk[0][3]
-            else:
-                centres = np.repeat(
-                    (np.array([block[4] for block in chunk])[:, None] + span)
-                    * np.array([block[3] for block in chunk])[:, None],
-                    [block[1] - block[0] for block in chunk], axis=0)
-            g = taus[lo:chunk[-1][1], None] - centres
+            centres = (first[i:j, None] + np.arange(width[i:j].max())) * b[i:j, None]
+            if j - i > 1:  # one block's row of centres broadcasts; several blocks' repeat
+                centres = np.repeat(centres, stop[i:j] - start[i:j], axis=0)
+            g = taus[lo:stop[j - 1], None] - centres
             g /= T
             np.multiply(g, g, out=g)
             np.exp(np.negative(g, out=g), out=g)  # exp(-s * s)
-        r0, r1 = chunk[0][2], chunk[-1][2]
-        coeff = trunc.coefficients * np.exp(1j * trunc.orders * thetas[r0:r1 + 1, None])
-        for start, stop, r, _, first, w in chunk:
-            np.matmul(g[start - lo:stop - lo, :w], coeff[r - r0, first + m:first + m + w],
-                      out=out[start:stop])
+        coeff = trunc.coefficients * np.exp(1j * trunc.orders * thetas[r0:run[j - 1] + 1, None])
+        for s0, s1, r, a, w in zip(*(x[i:j].tolist() for x in (start, stop, run, first, width))):
+            np.matmul(g[s0 - lo:s1 - lo, :w], coeff[r - r0, a + m:a + m + w], out=out[s0:s1])
     return out
 
 
@@ -318,8 +304,8 @@ def require_depth(filt: CosinePhaseFilter, trunc: SeriesTruncation) -> None:
 
 def count_rate(params: PhysicalParams, filt: CosinePhaseFilter,
                trunc: SeriesTruncation, tau) -> float | np.ndarray:
-    """comb_rates at delays tau (fs) as one run; scalar in, scalar out.  At depth 0
-    it is exp(-2 tau^2/T^2), with the peak normalized to exactly 1."""
+    """comb_rates at delays tau (fs) as one run, scalar in, scalar out; at depth 0 it is
+    exp(-2 tau^2/T^2), peaking at exactly 1."""
     require_depth(filt, trunc)
     taus = np.asarray(tau, dtype=float)
     rates = comb_rates(params, trunc, [filt.mod_frequency], [taus.size],

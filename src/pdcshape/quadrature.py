@@ -5,10 +5,9 @@ The amplitude is evaluated as the frequency integral
     A(tau) = integral dnu  e^{i nu tau} e^{-(T/2)^2 nu^2}
                            e^{i depth cos(theta - mod_frequency nu)}
 
-with the pump phase theta = mod_frequency omega0 / 2 reduced modulo 2 pi
-(model.pump_phase, as the series twist takes it), over a truncated symmetric
-window, by a composite trapezoid rule whose point count doubles until two
-successive estimates agree.  The levels are nested:
+(theta = mod_frequency omega0 / 2 modulo 2 pi, from model.pump_phase) over a
+truncated symmetric window, by a composite trapezoid rule whose point count
+doubles until two successive estimates agree.  The levels are nested:
 the first coarse estimate sums the even nodes, and every finer estimate is
 half the previous one plus the new odd midpoints, so each node is weighted
 and summed once.  The delays must form a uniform grid (linspace, arange times
