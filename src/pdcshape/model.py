@@ -362,6 +362,7 @@ def sample_curve(params: PhysicalParams, filt: CosinePhaseFilter, tau_grid,
     if method == "series":
         if trunc is None:
             trunc = truncation_for(filt)
+        require_depth(filt, trunc)
         require_cells(f"the curve over {tau_grid[0]:g} .. {tau_grid[-1]:g} fs", tau_grid.size,
                       trunc, "use fewer points")
         rates = count_rate(params, filt, trunc, tau_grid)

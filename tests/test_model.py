@@ -376,6 +376,13 @@ class TestSampleCurve:
         with pytest.raises(ParameterError):
             sample_curve(params, no_filter, np.array([0.0, -1.0, 1.0]))
 
+    def test_truncation_depth_checked_before_the_cell_cap(self, params):
+        # with this depth-10 truncation the grid would be over the cell cap; the
+        # mismatch is what is wrong, so it is what is reported
+        with pytest.raises(ParameterError, match="truncation is for depth 10.0, not 0.0"):
+            sample_curve(params, CosinePhaseFilter(0.0, 50.0), np.arange(300_000.0),
+                         trunc=truncation_for(CosinePhaseFilter(10.0, 0.0)))
+
     def test_unknown_method_rejected(self, params, no_filter):
         with pytest.raises(ParameterError):
             sample_curve(params, no_filter, np.array([0.0, 1.0]), method="fft")
