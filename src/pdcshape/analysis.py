@@ -162,10 +162,8 @@ def _scan_peak(params: PhysicalParams, trunc: SeriesTruncation, betas: np.ndarra
     for p, q in _batches(fills, _FILL_DELAYS):
         for lo in range(begins[p], ends[q - 1], _FILL_DELAYS):
             hi = min(lo + _FILL_DELAYS, ends[q - 1])
-            g0, g1 = np.searchsorted(gap_ends, [lo, hi - 1], side="right")
-            ge, gi = gap_ends[g0:g1 + 1], inner[g0:g1 + 1]
-            k = np.repeat(gap_first[g0:g1 + 1],
-                          np.minimum(ge, hi) - np.maximum(ge - gi, lo)) + np.arange(lo, hi)
+            row = np.arange(lo, hi)
+            k = gap_first[np.searchsorted(gap_ends, row, side="right")] + row
             counts = np.minimum(ends[p:q], hi) - np.maximum(begins[p:q], lo)
             y = comb_rates(params, trunc, betas[p:q], counts, k * grid_step)
             r = np.repeat(np.arange(p, q), counts)
@@ -197,10 +195,11 @@ def _peak_search(params: PhysicalParams, trunc: SeriesTruncation, betas: np.ndar
 
     Four phases, each over all betas still searching: _scan_peak's coarse
     scan and its bound and gap fill; each 9-point round; and the parabola
-    vertex.  Every phase evaluates its (beta, delay) rows with amplitude_comb,
-    one run per beta, so each beta gets the values of its own search; the tie
-    rule is one segment-wise lexsort per phase.  A pick on the window edge
-    raises a SearchError naming the first such beta.
+    vertex.  Every phase evaluates its (beta, delay) rows with comb_rates, one
+    run per beta, so each beta gets the values of its own search: the coarse
+    scan, each round and the vertex in one call, the gap fill in one call per
+    batch or piece.  The tie rule is one segment-wise lexsort per phase.  A
+    pick on the window edge raises a SearchError naming the first such beta.
     """
     ks = _scan_peak(params, trunc, betas, ns, grid_step)
     edge = np.flatnonzero(np.abs(ks) == ns)
@@ -263,10 +262,10 @@ def find_tau_max(params: PhysicalParams, filt: CosinePhaseFilter,
     resolve the rate and raises a ResolutionError.
 
     This is the one-beta case of the lockstep search that sweep_beta runs
-    (_peak_search): its phases (coarse scan, bound and gap fill, each round,
-    vertex) each take one amplitude_comb call, whose blocks and matmuls are
-    those of a call for this beta alone, so a sweep's values are this
-    function's, bit for bit.
+    (_peak_search): the coarse scan, each round and the vertex each take one
+    comb_rates call, and the gap fill one call per _FILL_DELAYS-delay piece.
+    Every call's blocks and matmuls are those of a call for this beta alone,
+    so a sweep's values are this function's, bit for bit.
     """
     _check_steps(params, grid_step, refine_tol)
     if trunc is None:
@@ -296,7 +295,7 @@ def sweep_beta(params: PhysicalParams, alpha: float, beta_start: float,
     The betas are searched in lockstep (_peak_search), in consecutive groups
     whose scan grids (2n + 1 delays each) sum to at most _SWEEP_DELAYS, with at
     least one beta per group, so memory does not grow with the sweep.  Each
-    phase of a group is one amplitude_comb call over all its betas' delays,
+    phase of a group is one comb_rates call over all its betas' delays,
     except the gap fill, which goes in whole-beta batches (_scan_peak).  Every
     beta is a run of its own, cut into blocks from its own start and given one
     matmul a block, so each value is the one find_tau_max gives.  The first
@@ -412,7 +411,9 @@ def detect_lobes(curve: CorrelationCurve, min_height: float | None = None) -> Lo
     _require_resolution(step, T)
     rates = curve.rates
     threshold = 0.01 * float(np.max(rates)) if min_height is None else float(min_height)
-    distance = max(1, math.ceil((T / 4.0) / step))
+    # a distance past the curve's length merges the same maxima, and a subnormal
+    # step would make it infinite
+    distance = max(1, math.ceil(min((T / 4.0) / step, rates.size)))
     idx = _find_peaks(rates, threshold, distance)
     prominences = _prominences(rates, idx)
     lobes = [Lobe(center=float(curve.tau_grid[i]), height=float(rates[i]),

@@ -168,12 +168,12 @@ def run_command(cfg: RunConfig, command: str) -> int:
             trunc = truncation_for(CosinePhaseFilter(a, 0.0), cfg.trunc_tol)
             for b in VALIDATION_MOD_FREQUENCIES:
                 filt = CosinePhaseFilter(a, b)
-                _comparison_halfcount(cfg.params, filt, 10.0, trunc)
+                _comparison_halfcount(cfg.params, filt, trunc)
                 cells.append((filt, trunc))
         rows_a, rows_b, rows_d, rows_t = [], [], [], []
         worst = 0.0
         for filt, trunc in cells:
-            grid = comparison_grid(cfg.params, filt, spacing=10.0, trunc=trunc)
+            grid = comparison_grid(cfg.params, filt, trunc=trunc)
             rep = compare_methods(cfg.params, filt, grid, settings=cfg.quad, trunc=trunc)
             rows_a.append(filt.depth)
             rows_b.append(filt.mod_frequency)

@@ -109,29 +109,18 @@ def _render_body(arrays: list[np.ndarray]) -> bytes:
     return body[body != 0].tobytes()
 
 
-def _render_blocks(metadata: dict, columns: list[tuple[str, np.ndarray]]):
-    """The CSV bytes in consecutive pieces: the header, then _ROW_CHUNK rows at a time."""
-    lines = [f"# {key} = {_meta_str(metadata[key])}" for key in sorted(metadata)]
-    lines.append(",".join(name for name, _ in columns))
-    n_rows = len(columns[0][1]) if columns else 0
-    for name, values in columns:
-        if len(values) != n_rows:
-            raise ValueError(f"column {name!r} length {len(values)} != {n_rows}")
-    yield ("\n".join(lines) + "\n").encode("ascii")
-    arrays = [np.asarray(values) for _, values in columns]
-    for lo in range(0, n_rows, _ROW_CHUNK):
-        yield _render_body([a[lo:lo + _ROW_CHUNK] for a in arrays])
-
-
-def render_csv(metadata: dict, columns: list[tuple[str, np.ndarray]]) -> str:
-    return b"".join(_render_blocks(metadata, columns)).decode("ascii")
-
-
 def write_csv(path: str | Path, metadata: dict,
               columns: list[tuple[str, np.ndarray]]) -> None:
-    """Write the CSV block by block, with LF endings regardless of platform."""
-    blocks = _render_blocks(metadata, columns)
-    header = next(blocks)  # a column length mismatch raises here, before the file opens
+    """Write the header, then _ROW_CHUNK rows at a time, with LF endings on every platform."""
+    n_rows = len(columns[0][1]) if columns else 0
+    for name, values in columns:  # refused before the file opens
+        if len(values) != n_rows:
+            raise ValueError(f"column {name!r} length {len(values)} != {n_rows}")
+    lines = [f"# {key} = {_meta_str(metadata[key])}" for key in sorted(metadata)]
+    lines.append(",".join(name for name, _ in columns))
+    header = ("\n".join(lines) + "\n").encode("ascii")
+    arrays = [np.asarray(values) for _, values in columns]
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.writelines(blocks)
+        for lo in range(0, n_rows, _ROW_CHUNK):
+            fh.write(_render_body([a[lo:lo + _ROW_CHUNK] for a in arrays]))

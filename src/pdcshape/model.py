@@ -123,13 +123,11 @@ class SeriesTruncation:
     max_order: int
     orders: np.ndarray = field(init=False, repr=False, compare=False)
     coefficients: np.ndarray = field(init=False, repr=False, compare=False)
-    table: InitVar[np.ndarray | None] = None  # J_0..J_k(depth), k >= max_order, if at hand
+    table: InitVar[np.ndarray]  # J_0..J_k(depth), k >= max_order: the table M was chosen from
 
-    def __post_init__(self, table: np.ndarray | None) -> None:
+    def __post_init__(self, table: np.ndarray) -> None:
         if self.max_order < 0:
             raise ParameterError("max_order must be >= 0")
-        if table is None:
-            table = bessel_j_table(self.depth, self.max_order)
         orders = np.arange(-self.max_order, self.max_order + 1)
         j = table[np.abs(orders)]
         j[(orders < 0) & (orders % 2 != 0)] *= -1.0

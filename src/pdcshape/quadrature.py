@@ -52,6 +52,8 @@ _LATTICE_EPS = 4.0
 #: (depth, mod_frequency/fs) grid exercised by the `validate` command.
 VALIDATION_DEPTHS = (0.0, 1.0, 2.0, 5.0, 10.0)
 VALIDATION_MOD_FREQUENCIES = (0.0, 25.0, 50.0, 53.0, 300.0, 1000.0)
+#: delay step, fs, of comparison_grid and so of every `validate` cell
+COMPARISON_SPACING = 10.0
 
 
 @dataclass(frozen=True)
@@ -324,26 +326,23 @@ def rate_grid(params: PhysicalParams, filt: CosinePhaseFilter, tau_grid,
     return np.abs(values / base) ** 2
 
 
-def _comparison_halfcount(params: PhysicalParams, filt: CosinePhaseFilter, spacing: float,
+def _comparison_halfcount(params: PhysicalParams, filt: CosinePhaseFilter,
                           trunc: SeriesTruncation) -> int:
     """n of comparison_grid's 2n + 1 delays; ParameterError if the grid is over the cap."""
-    if spacing <= 0:
-        raise ParameterError("spacing must be > 0")
     half = series_halfwidth(params, filt, trunc)
-    n = np.ceil(half / spacing)  # in float: an inf is refused, not converted
-    require_cells(f"the comparison grid over +-{half:g} fs in {spacing:g} fs steps",
-                  2.0 * n + 1.0, trunc, "use a coarser spacing or a shorter correlation time")
+    n = np.ceil(half / COMPARISON_SPACING)  # in float: an inf is refused, not converted
+    require_cells(f"the comparison grid over +-{half:g} fs in {COMPARISON_SPACING:g} fs steps",
+                  2.0 * n + 1.0, trunc, "use a shorter correlation time")
     return int(n)
 
 
 def comparison_grid(params: PhysicalParams, filt: CosinePhaseFilter,
-                    spacing: float = 10.0,
                     trunc: SeriesTruncation | None = None) -> np.ndarray:
-    """Uniform tau grid covering every lobe of the series with ~5T margin."""
+    """Uniform tau grid, COMPARISON_SPACING apart, over every series lobe with ~5T margin."""
     if trunc is None:
         trunc = truncation_for(filt)
-    n = _comparison_halfcount(params, filt, spacing, trunc)
-    return np.arange(-n, n + 1) * spacing
+    n = _comparison_halfcount(params, filt, trunc)
+    return np.arange(-n, n + 1) * COMPARISON_SPACING
 
 
 def compare_methods(params: PhysicalParams, filt: CosinePhaseFilter, tau_grid,

@@ -1,7 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from pdcshape import DEFAULT_PARAMS, CosinePhaseFilter, characteristic_time
+from pdcshape.csvio import write_csv
 
 
 @pytest.fixture(scope="session")
@@ -27,3 +31,11 @@ def standard_filter():
 def uniform_grid(halfwidth: float, step: float) -> np.ndarray:
     n = int(round(halfwidth / step))
     return np.arange(-n, n + 1) * step
+
+
+def written_csv(metadata: dict, columns: list) -> str:
+    """The bytes write_csv writes for metadata and columns, as ASCII text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "written.csv"
+        write_csv(path, metadata, columns)
+        return path.read_bytes().decode("ascii")

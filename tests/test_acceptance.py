@@ -127,7 +127,7 @@ def test_total_integral_conserved(params, T):
     for depth in VALIDATION_DEPTHS:
         for beta in VALIDATION_MOD_FREQUENCIES:
             filt = CosinePhaseFilter(depth, beta)
-            curve = sample_curve(params, filt, comparison_grid(params, filt, spacing=10.0))
+            curve = sample_curve(params, filt, comparison_grid(params, filt))
             values.append(total_coincidence_integral(curve))
     values = np.array(values)
     spread = float((values.max() - values.min()) / values.mean())

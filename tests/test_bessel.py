@@ -19,7 +19,7 @@ def signed_orders(x: float, m_max: int) -> dict[int, float]:
     The truncation's coefficients are exactly i^m J_m(x), so multiplying by
     i^-m recovers the signed values.
     """
-    trunc = SeriesTruncation(x, m_max)
+    trunc = SeriesTruncation(x, m_max, bessel_j_table(x, m_max))
     orders = trunc.orders
     j = trunc.coefficients * np.array([1.0, -1.0j, -1.0, 1.0j])[np.mod(orders, 4)]
     assert np.all(j.imag == 0.0)

@@ -8,9 +8,9 @@ import pytest
 from pdcshape import ConvergenceError, ParameterError, csvio, errors
 from pdcshape.cli import _PRESETS, main
 from pdcshape.config import DEFAULTS, read_config_file, resolve_config
-from pdcshape.csvio import render_csv
 from pdcshape.quadrature import DeviationReport
 
+from conftest import written_csv
 from oracles import format_number
 
 
@@ -100,8 +100,8 @@ class TestCsvFormat:
     def test_render_is_deterministic(self):
         meta = {"b": 2.0, "a": 1.0}
         cols = [("x", np.array([1.0, 2.0])), ("y", np.array([3.0, 4.0]))]
-        assert render_csv(meta, cols) == render_csv(meta, cols)
-        assert render_csv(meta, cols).startswith("# a = 1.0\n# b = 2.0\nx,y\n")
+        assert written_csv(meta, cols) == written_csv(meta, cols)
+        assert written_csv(meta, cols).startswith("# a = 1.0\n# b = 2.0\nx,y\n")
 
     def test_float_rows_render_like_format_number(self):
         # row-at-a-time rendering against format_number value by value, across
@@ -116,7 +116,7 @@ class TestCsvFormat:
                 ("s", [f"v{i}" for i in range(n)])]
         expected = ["x,y,z,k,s"] + [",".join(format_number(c[i]) for _, c in cols)
                                     for i in range(n)]
-        assert render_csv({}, cols) == "\n".join(expected) + "\n"
+        assert written_csv({}, cols) == "\n".join(expected) + "\n"
 
     def test_lf_endings_only(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -130,7 +130,9 @@ class TestCsvFormat:
         n = 2 * csvio._ROW_CHUNK + 5
         cols = [("x", np.linspace(-1.0, 1.0, n)), ("k", np.arange(n))]
         csvio.write_csv(out, {"a": 0.5}, cols)
-        assert out.read_bytes() == render_csv({"a": 0.5}, cols).encode("ascii")
+        expected = ["# a = 0.5", "x,k"] + [",".join(format_number(c[i]) for _, c in cols)
+                                           for i in range(n)]
+        assert out.read_bytes() == ("\n".join(expected) + "\n").encode("ascii")
         # rendering all 200,000 lines before writing peaked at 12.8 MB; small
         # ints keep tolist from allocating, so the traced run stays short
         cols = [("k", np.arange(200_000) % 200)]
@@ -202,6 +204,13 @@ class TestCommands:
         assert len(rows) >= 2
         header = [ln for ln in read_lines(out) if not ln.startswith("#")][0]
         assert header == "center_fs,height,prominence"
+
+    def test_lobes_on_a_subnormal_step_finds_none(self, tmp_path):
+        # a 5e-311 fs step puts the T/4 merge distance at inf samples
+        out = tmp_path / "l.csv"
+        assert main(["lobes", "--tau-min=0", "--tau-max=1e-310", "--points", "3",
+                     "--out", str(out)]) == 0
+        assert data_rows(out) == []
 
     def test_fig3_writes_two_four_column_files(self, tmp_path):
         out = tmp_path / "fig3.csv"

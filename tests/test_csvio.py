@@ -8,14 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdcshape.cli import main
-from pdcshape.csvio import render_csv, write_csv
+from pdcshape.csvio import write_csv
 
+from conftest import written_csv
 from oracles import format_number
 
 
 def assert_renders_like_format_number(values):
     values = np.asarray(values)
-    lines = render_csv({}, [("x", values)]).split("\n")
+    lines = written_csv({}, [("x", values)]).split("\n")
     assert lines[0] == "x" and lines[-1] == ""
     assert lines[1:-1] == [format_number(v) for v in values]
 
@@ -49,7 +50,7 @@ class TestFloatRenderer:
 
     def test_exponent_round_up(self):
         # the mantissa rounds to 10^9 and carries into the exponent
-        assert render_csv({}, [("x", np.array([9.9999999995e5, 999999999.5]))]) == (
+        assert written_csv({}, [("x", np.array([9.9999999995e5, 999999999.5]))]) == (
             "x\n1.00000000e+06\n1.00000000e+09\n")
 
     def test_log10_off_by_one_below_powers_of_ten(self):
@@ -58,7 +59,7 @@ class TestFloatRenderer:
 
     def test_near_ties(self):
         # the binary values sit just above and just below the decimal tie
-        assert render_csv({}, [("x", np.array([1.234567895, 1.000000005]))]) == (
+        assert written_csv({}, [("x", np.array([1.234567895, 1.000000005]))]) == (
             "x\n1.23456790e+00\n1.00000000e+00\n")
         assert_renders_like_format_number(near_ties(123456789, 0, 1)
                                           + near_ties(999999999, -300, -1)
@@ -71,7 +72,7 @@ class TestFloatRenderer:
         assert_renders_like_format_number(edges + [-v for v in edges])
 
     def test_zeros_and_non_finite(self):
-        assert render_csv({}, [("x", np.array([0.0, -0.0, np.inf, -np.inf, np.nan]))]) == (
+        assert written_csv({}, [("x", np.array([0.0, -0.0, np.inf, -np.inf, np.nan]))]) == (
             "x\n0.00000000e+00\n-0.00000000e+00\ninf\n-inf\nnan\n")
 
 
@@ -83,7 +84,7 @@ class TestOtherColumns:
 
     def test_bool_and_str_columns(self):
         cols = [("b", np.array([True, False])), ("s", ["", "a b"]), ("k", [7, -8])]
-        assert render_csv({}, cols) == "b,s,k\nTrue,,7\nFalse,a b,-8\n"
+        assert written_csv({}, cols) == "b,s,k\nTrue,,7\nFalse,a b,-8\n"
 
     def test_mixed_widths_across_blocks(self):
         n = 3000
@@ -93,7 +94,7 @@ class TestOtherColumns:
                 ("k", np.arange(n) * 7919)]
         expected = ["s,x,k"] + [",".join(format_number(c[i]) for _, c in cols)
                                 for i in range(n)]
-        assert render_csv({"a": 1}, cols) == "# a = 1\n" + "\n".join(expected) + "\n"
+        assert written_csv({"a": 1}, cols) == "# a = 1\n" + "\n".join(expected) + "\n"
 
     def test_zero_rows_give_the_header_alone(self, tmp_path):
         out = tmp_path / "empty.csv"

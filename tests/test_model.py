@@ -311,7 +311,8 @@ class TestCountRate:
     def test_truncation_stability(self, params, depth, beta):
         filt = CosinePhaseFilter(depth, beta)
         trunc = truncation_for(filt)
-        doubled = SeriesTruncation(filt.depth, 2 * trunc.max_order)
+        doubled = SeriesTruncation(filt.depth, 2 * trunc.max_order,
+                                   bessel_j_table(filt.depth, 2 * trunc.max_order))
         taus = np.linspace(-800, 800, 81)
         r1 = count_rate(params, filt, trunc, taus)
         r2 = count_rate(params, filt, doubled, taus)

@@ -67,7 +67,7 @@ class TestCompareMethods:
 
     def test_comparison_grid_covers_lobes(self, params, T):
         filt = CosinePhaseFilter(2.0, 300.0)
-        grid = comparison_grid(params, filt, spacing=10.0)
+        grid = comparison_grid(params, filt)
         m = truncation_for(filt).max_order
         assert grid[0] <= -(m * 300.0 + 5 * T) + 10.0
         assert np.all(np.diff(grid) == 10.0)
