@@ -38,12 +38,22 @@ _METHODS = ("series", "quadrature")
 # quadrature's interval budget shares this cap.
 _MAX_COMB_CELLS = 2**24
 # Delays per block of the series comb: at most _TAU_BLOCK x (2M + 1) cells are
-# held at once (about 2 MB at depth 10).
+# held at once, 25 B each (a complex work cell, its float -s^2 and its flush
+# flag): about 1.6 MB at depth 10 (M = 31).
 _TAU_BLOCK = 1024
 # Lobe reach R in units of T: exp(-28^2) underflows to exactly 0.0 in float64
 # (anything past |s| ~ 27.3 does), so orders farther than R from a block are
-# exact zeros there.
+# exact zeros there.  It must stay 28, although the flush below zeroes every
+# cell past sqrt(_FLUSH) ~ 26.6: R sets the order widths, and so how BLAS
+# groups each row's sum; R = sqrt(708) moved 1,232 amplitudes of one sequence
+# of the benchmark's series workload by ~1 ulp.
 _LOBE_REACH = 28.0
+# exp(-s^2) is subnormal for s^2 > _FLUSH = -ln(smallest normal) ~ 708.4, where
+# numpy's exp (over 100 ns a cell, against ~1 ns) and BLAS both take a slow path.
+# amplitude_comb flushes those cells to 0.0 and repairs a batch when a row it
+# flushed has an amplitude component below _REPAIR_BELOW.
+_FLUSH = -math.log(sys.float_info.min)
+_REPAIR_BELOW = 2.0**-900
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -245,6 +255,17 @@ def amplitude_comb(params: PhysicalParams, trunc: SeriesTruncation, betas, count
     run's twisted coefficients: a run's values are bit for bit those it gets
     alone.  The pump twist exp(i m theta) is formed here only, from
     pump_phase's reduced theta, which refuses an M theta that is not finite.
+
+    Flush and repair: a cell with s^2 > _FLUSH, whose exp(-s^2) is subnormal,
+    reads 0.0 (exp(-inf)), so neither exp nor the matmul meets a subnormal.
+    The cells go straight into the real parts of one complex work buffer
+    whose imaginary parts are 0, so no matmul casts its block.  A flushed
+    term is below 2^-1022 and a row holds at most 2,001, so a component of at
+    least _REPAIR_BELOW = 2^-900 (its ulp is at least 2^-952) absorbs them,
+    barring an exact round-half tie in a partial sum.  A batch with a row that
+    held a flushed cell and has a smaller component is evaluated again, whole
+    and unflushed (a lone row's matmul would take numpy's dot path and other
+    bits).  So every amplitude is bit for bit the unflushed comb's.
     """
     T = characteristic_time(params)
     m, reach = trunc.max_order, _LOBE_REACH * T
@@ -268,23 +289,46 @@ def amplitude_comb(params: PhysicalParams, trunc: SeriesTruncation, betas, count
                                                     + reach) / b))).astype(np.int64)
     width = np.maximum(last - first + 1, 0)
     out = np.empty(taus.size, dtype=complex)
+    # every batch's -s^2 goes into one float buffer, and its exp(-s^2) into the
+    # real parts of one complex buffer whose imaginary parts stay 0
+    size = min(taus.size, _TAU_BLOCK) * int(width.max(initial=0))
+    s2, work = np.empty(size), np.zeros(size, dtype=complex)
     for i, j in _batches(stop - start, _TAU_BLOCK):
         # blocks i .. j - 1, up to _TAU_BLOCK delays in all, share one exp;
         # cells past a block's own orders are padding and never read; where
         # s * s overflows there (or far from every lobe), exp gives the exact 0.0
-        lo, r0 = start[i], run[i]
-        with np.errstate(over="ignore"):
-            centres = (first[i:j, None] + np.arange(width[i:j].max())) * b[i:j, None]
-            if j - i > 1:  # one block's row of centres broadcasts; several blocks' repeat
-                centres = np.repeat(centres, stop[i:j] - start[i:j], axis=0)
-            g = taus[lo:stop[j - 1], None] - centres
-            g /= T
-            np.multiply(g, g, out=g)
-            np.exp(np.negative(g, out=g), out=g)  # exp(-s * s)
+        lo, hi, r0 = start[i], stop[j - 1], run[i]
+        rows, cols = hi - lo, int(width[i:j].max())
+        g, cells = (x[:rows * cols].reshape(rows, cols) for x in (s2, work))
         coeff = trunc.coefficients * np.exp(1j * trunc.orders * thetas[r0:run[j - 1] + 1, None])
-        for s0, s1, r, a, w in zip(*(x[i:j].tolist() for x in (start, stop, run, first, width))):
-            np.matmul(g[s0 - lo:s1 - lo, :w], coeff[r - r0, a + m:a + m + w], out=out[s0:s1])
+        blocks = list(zip(*(x[i:j].tolist() for x in (start, stop, run, first, width))))
+        for flush in (True, False):
+            with np.errstate(over="ignore"):
+                centres = (first[i:j, None] + np.arange(cols)) * b[i:j, None]
+                if j - i > 1:  # one block's row of centres broadcasts; several blocks' repeat
+                    centres = np.repeat(centres, stop[i:j] - start[i:j], axis=0)
+                np.subtract(taus[lo:hi, None], centres, out=g)
+                g /= T
+                np.multiply(g, g, out=g)
+            np.negative(g, out=g)  # -s * s
+            # exp(-inf) writes the exact 0.0 where exp(-s * s) would be subnormal;
+            # a batch with no such cell (or a NaN minimum) is not flushed
+            far = g < -_FLUSH if flush and g.min(initial=0.0) < -_FLUSH else None
+            if far is not None:
+                g[far] = -np.inf
+            np.exp(g, out=cells.real)
+            for s0, s1, r, a, w in blocks:
+                np.matmul(cells[s0 - lo:s1 - lo, :w], coeff[r - r0, a + m:a + m + w],
+                          out=out[s0:s1])
+            if far is None or not _flushed_into_small(out[lo:hi], far):
+                break
     return out
+
+
+def _flushed_into_small(amps: np.ndarray, far: np.ndarray) -> bool:
+    """Whether a row with a flushed cell has an amplitude component below _REPAIR_BELOW."""
+    small = np.abs(amps.view(float)) < _REPAIR_BELOW
+    return bool(small.any() and far[small.reshape(-1, 2).any(axis=1)].any())
 
 
 def comb_rates(params: PhysicalParams, trunc: SeriesTruncation, betas, counts,

@@ -20,7 +20,7 @@ from pdcshape import (
     sample_curve,
     truncation_for,
 )
-from pdcshape.model import _TAU_BLOCK, amplitude_comb, series_halfwidth
+from pdcshape.model import _FLUSH, _TAU_BLOCK, amplitude_comb, series_halfwidth
 from pdcshape.quadrature import VALIDATION_DEPTHS
 
 
@@ -260,6 +260,48 @@ class TestBlockedComb:
         want = [one_run(params, CosinePhaseFilter(10.0, b), trunc, r)
                 for b, r in zip(betas, runs)]
         assert np.array_equal(got, np.concatenate(want))
+
+    @staticmethod
+    def subnormal_delays(params):
+        # s in [26.65, 27.29] on both sides: every exp(-s^2) is subnormal, every
+        # amplitude at beta = 0 is subnormal or 0.0, and every cell is flushed
+        s = np.linspace(26.65, 27.29, 300)
+        return characteristic_time(params) * np.concatenate([-s[::-1], s])
+
+    @pytest.mark.parametrize("depth", [2.0, 10.0])
+    def test_flushed_rows_are_repaired(self, params, depth):
+        filt = CosinePhaseFilter(depth, 0.0)
+        trunc = truncation_for(filt)
+        taus = self.subnormal_delays(params)
+        got = one_run(params, filt, trunc, taus)
+        want = dense_comb(params, filt, trunc, taus)
+        assert np.all(np.abs(want) < np.finfo(float).tiny) and np.count_nonzero(want) > 500
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    def test_repaired_run_shares_a_batch(self, params):
+        # the repair redoes the whole batch, so the normal runs beside the
+        # subnormal one are evaluated again unflushed; all read their lone values
+        trunc = truncation_for(CosinePhaseFilter(10.0, 0.0))
+        rng = np.random.default_rng(8)
+        betas = [300.0, 0.0, 713.0]
+        runs = [rng.uniform(-3000, 3000, 150), self.subnormal_delays(params),
+                rng.uniform(-3000, 3000, 200)]
+        assert sum(r.size for r in runs) <= _TAU_BLOCK  # one batch
+        got = amplitude_comb(params, trunc, betas, [r.size for r in runs], np.concatenate(runs))
+        want = [one_run(params, CosinePhaseFilter(10.0, b), trunc, r)
+                for b, r in zip(betas, runs)]
+        assert np.count_nonzero(want[1]) > 500
+        assert np.array_equal(got, np.concatenate(want))
+
+    def test_numpy_exp_at_the_flush_threshold(self):
+        # the flush marks exactly the cells whose exp(-s^2) is subnormal and
+        # writes exp(-inf); past s^2 = 746 exp already gives the exact 0.0
+        tiny = np.finfo(float).tiny
+        x = np.full(64, _FLUSH)
+        assert np.all(np.exp(-x) >= tiny)
+        assert np.all(np.exp(-np.nextafter(x, np.inf)) < tiny)
+        assert np.all(np.exp(np.full(64, -746.0)) == 0.0)
+        assert np.all(np.exp(np.full(64, -np.inf)) == 0.0)
 
     def test_memory_is_bounded(self, params):
         # a dense comb over these 100,000 delays x 63 orders traces ~203 MB
