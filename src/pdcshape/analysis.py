@@ -15,6 +15,7 @@ from .errors import (
     WindowError,
 )
 from .model import (
+    TRUNC_TOL,
     CorrelationCurve,
     CosinePhaseFilter,
     PhysicalParams,
@@ -23,7 +24,6 @@ from .model import (
     characteristic_time,
     comb_rates,
     require_cells,
-    require_depth,
     series_halfwidth,
     truncation_for,
 )
@@ -244,8 +244,7 @@ def _peak_search(params: PhysicalParams, trunc: SeriesTruncation, betas: np.ndar
 
 def find_tau_max(params: PhysicalParams, filt: CosinePhaseFilter,
                  search_halfwidth: float | None = None, grid_step: float = 0.5,
-                 refine_tol: float = 0.01,
-                 trunc: SeriesTruncation | None = None) -> TauMaxResult:
+                 refine_tol: float = 0.01, trunc_tol: float = TRUNC_TOL) -> TauMaxResult:
     """Locate the delay of maximum coincidence rate.
 
     The maximum is bracketed on the symmetric grid k*grid_step, |k| <= n
@@ -259,7 +258,8 @@ def find_tau_max(params: PhysicalParams, filt: CosinePhaseFilter,
     the width reached.  The default window series_halfwidth
     covers every series lobe; if the grid argmax is a window end the window
     was too small and a SearchError is raised.  A grid_step above T/20 cannot
-    resolve the rate and raises a ResolutionError.
+    resolve the rate and raises a ResolutionError.  The series is cut at
+    trunc_tol (truncation_for), as in sweep_beta.
 
     This is the one-beta case of the lockstep search that sweep_beta runs
     (_peak_search): the coarse scan, each round and the vertex each take one
@@ -267,10 +267,8 @@ def find_tau_max(params: PhysicalParams, filt: CosinePhaseFilter,
     Every call's blocks and matmuls are those of a call for this beta alone,
     so a sweep's values are this function's, bit for bit.
     """
+    trunc = truncation_for(filt, trunc_tol)
     _check_steps(params, grid_step, refine_tol)
-    if trunc is None:
-        trunc = truncation_for(filt)
-    require_depth(filt, trunc)
     n = _scan_size(params, filt, trunc, search_halfwidth, grid_step)
     tau, rate, width = _peak_search(params, trunc, np.array([filt.mod_frequency]),
                                     np.array([n]), grid_step, refine_tol)
@@ -289,7 +287,7 @@ def _check_steps(params: PhysicalParams, grid_step: float, refine_tol: float) ->
 def sweep_beta(params: PhysicalParams, alpha: float, beta_start: float,
                beta_end: float, beta_step: float, *,
                search_halfwidth: float | None = None, grid_step: float = 0.5,
-               refine_tol: float = 0.01, trunc_tol: float = 1e-12) -> SweepResult:
+               refine_tol: float = 0.01, trunc_tol: float = TRUNC_TOL) -> SweepResult:
     """find_tau_max at each modulation frequency in [beta_start, beta_end].
 
     The betas are searched in lockstep (_peak_search), in consecutive groups
@@ -312,7 +310,6 @@ def sweep_beta(params: PhysicalParams, alpha: float, beta_start: float,
             f"needs over {_MAX_SWEEP_STEPS} points; raise beta_step")
     count = int(math.floor(steps + 1e-9)) + 1
     betas = beta_start + np.arange(count) * beta_step
-    # the series depends only on depth, so build it once for the whole sweep
     trunc = truncation_for(CosinePhaseFilter(alpha, 0.0), trunc_tol)
     _check_steps(params, grid_step, refine_tol)
     ns, refused = [], None
@@ -397,6 +394,16 @@ def _prominences(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return out
 
 
+def _uniform_step(curve: CorrelationCurve, rtol: float, what: str) -> float:
+    """The step of the curve's delays; ParameterError unless 2 or more, uniform to rtol."""
+    steps = np.diff(curve.tau_grid)
+    if steps.size == 0:
+        raise ParameterError(f"{what} requires at least 2 delays, got {steps.size + 1}")
+    if not np.allclose(steps, steps[0], rtol=rtol, atol=0.0):
+        raise ParameterError(f"{what} requires a uniform tau grid")
+    return float(steps[0])
+
+
 def detect_lobes(curve: CorrelationCurve, min_height: float | None = None) -> LobeReport:
     """Strict local maxima above min_height (default 0.01 of the curve max).
 
@@ -404,10 +411,7 @@ def detect_lobes(curve: CorrelationCurve, min_height: float | None = None) -> Lo
     separates genuine envelope lobes from sampling-level ripple.
     """
     T = characteristic_time(curve.params)
-    steps = np.diff(curve.tau_grid)
-    if not np.allclose(steps, steps[0], rtol=1e-6, atol=0.0):
-        raise ParameterError("lobe detection requires a uniform tau grid")
-    step = float(steps[0])
+    step = _uniform_step(curve, 1e-6, "lobe detection")
     _require_resolution(step, T)
     rates = curve.rates
     threshold = 0.01 * float(np.max(rates)) if min_height is None else float(min_height)
@@ -428,9 +432,7 @@ def total_coincidence_integral(curve: CorrelationCurve) -> float:
     The window must be wide enough that both edge rates are below 1e-10 of
     the curve maximum.
     """
-    steps = np.diff(curve.tau_grid)
-    if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-        raise ParameterError("total integral requires a uniform tau grid")
+    _uniform_step(curve, 1e-9, "total integral")
     peak = float(np.max(curve.rates))
     if curve.rates[0] > 1e-10 * peak or curve.rates[-1] > 1e-10 * peak:
         raise WindowError("edge rates above 1e-10 of the maximum; widen the tau window")

@@ -16,7 +16,7 @@ from . import analysis
 from .config import RunConfig, resolve_config
 from .csvio import _meta_str, write_csv
 from .errors import ConvergenceError, ParameterError
-from .model import _METHODS, CorrelationCurve, CosinePhaseFilter, sample_curve, truncation_for
+from .model import _METHODS, CorrelationCurve, CosinePhaseFilter, sample_curve
 from .quadrature import (
     VALIDATION_DEPTHS,
     VALIDATION_MOD_FREQUENCIES,
@@ -104,8 +104,7 @@ def _out_path(cfg: RunConfig, command: str) -> Path:
 
 def _sample(cfg: RunConfig, filt: CosinePhaseFilter, grid: np.ndarray) -> CorrelationCurve:
     """The rate curve over grid by cfg.method, with cfg's cutoff and quadrature policy."""
-    trunc = truncation_for(filt, cfg.trunc_tol) if cfg.method == "series" else None
-    return sample_curve(cfg.params, filt, grid, method=cfg.method, trunc=trunc,
+    return sample_curve(cfg.params, filt, grid, method=cfg.method, trunc_tol=cfg.trunc_tol,
                         settings=cfg.quad)
 
 
@@ -136,7 +135,7 @@ def run_command(cfg: RunConfig, command: str) -> int:
         res = analysis.find_tau_max(cfg.params, cfg.pair_filter(),
                                     search_halfwidth=cfg.search_halfwidth,
                                     grid_step=cfg.grid_step, refine_tol=cfg.refine_tol,
-                                    trunc=truncation_for(cfg.pair_filter(), cfg.trunc_tol))
+                                    trunc_tol=cfg.trunc_tol)
         write_csv(out, meta, [("beta_fs", np.array([cfg.beta])),
                               ("tau_max_fs", np.array([res.tau_max])),
                               ("rate_at_max", np.array([res.rate_at_max]))])
@@ -160,30 +159,21 @@ def run_command(cfg: RunConfig, command: str) -> int:
                    ("prominence", np.array([l.prominence for l in report.lobes]))])
 
     elif command == "validate":
+        cells = [CosinePhaseFilter(a, b)
+                 for a in VALIDATION_DEPTHS for b in VALIDATION_MOD_FREQUENCIES]
         # every cell's grid is sized before any cell computes, so that an
         # over-cap cell is refused at once
-        cells = []
-        for a in VALIDATION_DEPTHS:
-            # the series depends on the depth alone: one truncation serves its row
-            trunc = truncation_for(CosinePhaseFilter(a, 0.0), cfg.trunc_tol)
-            for b in VALIDATION_MOD_FREQUENCIES:
-                filt = CosinePhaseFilter(a, b)
-                _comparison_halfcount(cfg.params, filt, trunc)
-                cells.append((filt, trunc))
-        rows_a, rows_b, rows_d, rows_t = [], [], [], []
-        worst = 0.0
-        for filt, trunc in cells:
-            grid = comparison_grid(cfg.params, filt, trunc=trunc)
-            rep = compare_methods(cfg.params, filt, grid, settings=cfg.quad, trunc=trunc)
-            rows_a.append(filt.depth)
-            rows_b.append(filt.mod_frequency)
-            rows_d.append(rep.max_abs_diff)
-            rows_t.append(rep.tau_at_max)
-            worst = max(worst, rep.max_abs_diff)
-        write_csv(out, meta, [("alpha", np.array(rows_a)),
-                              ("beta_fs", np.array(rows_b)),
-                              ("max_abs_diff", np.array(rows_d)),
-                              ("tau_at_max_fs", np.array(rows_t))])
+        for filt in cells:
+            _comparison_halfcount(cfg.params, filt, cfg.trunc_tol)
+        reps = []
+        for filt in cells:
+            grid = comparison_grid(cfg.params, filt, cfg.trunc_tol)
+            reps.append(compare_methods(cfg.params, filt, grid, cfg.quad, cfg.trunc_tol))
+        worst = max(rep.max_abs_diff for rep in reps)
+        write_csv(out, meta, [("alpha", np.array([filt.depth for filt in cells])),
+                              ("beta_fs", np.array([filt.mod_frequency for filt in cells])),
+                              ("max_abs_diff", np.array([rep.max_abs_diff for rep in reps])),
+                              ("tau_at_max_fs", np.array([rep.tau_at_max for rep in reps]))])
         print(f"wrote {out}")
         print(f"worst series/quadrature rate difference: {worst:.3e} "
               f"(tolerance {VALIDATION_TOLERANCE:.0e})")

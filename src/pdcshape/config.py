@@ -10,8 +10,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParameterError
-from .model import _MAX_COMB_CELLS, _METHODS, CosinePhaseFilter, PhysicalParams
-from .quadrature import QuadratureSettings
+from .model import (
+    _MAX_COMB_CELLS,
+    _METHODS,
+    DEFAULT_PARAMS,
+    TRUNC_TOL,
+    CosinePhaseFilter,
+    PhysicalParams,
+)
+from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
 
 
 @dataclass(frozen=True)
@@ -19,16 +26,14 @@ class RunConfig:
     """Fully resolved settings for one CLI invocation.
 
     Each field is a config key with its built-in default, and its annotation
-    decides how a config-file value is parsed.  Physical values are the
-    bundled preset source: 350 nm pump, u = 2e8 m/s, eps_perp = 100 um,
-    15 degree emission.
+    decides how a config-file value is parsed.
     """
 
-    lambda_nm: float = 350.0
-    u: float = 2.0e8
-    eps_perp_um: float = 100.0
-    theta_deg: float = 15.0
-    light_speed: float = 3.0e8
+    lambda_nm: float = DEFAULT_PARAMS.pump_wavelength
+    u: float = DEFAULT_PARAMS.group_velocity
+    eps_perp_um: float = DEFAULT_PARAMS.beam_param
+    theta_deg: float = DEFAULT_PARAMS.emission_angle
+    light_speed: float = DEFAULT_PARAMS.light_speed
     alpha: float = 2.0
     beta: float = 50.0
     tau_min: float = -600.0
@@ -38,15 +43,15 @@ class RunConfig:
     beta_start: float = 48.0
     beta_end: float = 53.0
     beta_step: float = 0.01
-    trunc_tol: float = 1e-12
+    trunc_tol: float = TRUNC_TOL
     refine_tol: float = 0.01
     grid_step: float = 0.5
     search_halfwidth: float | None = None
     min_lobe_height: float | None = None
-    quad_folds: float = 6.0
-    quad_initial_points: int = 1024
-    quad_max_points: int = 2**20
-    quad_rel_tol: float = 1e-11
+    quad_folds: float = DEFAULT_SETTINGS.halfwidth_folds
+    quad_initial_points: int = DEFAULT_SETTINGS.initial_points
+    quad_max_points: int = DEFAULT_SETTINGS.max_points
+    quad_rel_tol: float = DEFAULT_SETTINGS.rel_tolerance
     out: str | Path | None = None
 
     def __post_init__(self) -> None:

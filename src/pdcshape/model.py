@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import InitVar, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .errors import ParameterError
 LIGHT_SPEED_DEFAULT = 3.0e8  # m/s, pinned round value; override via PhysicalParams
 
 _METHODS = ("series", "quadrature")
+TRUNC_TOL = 1e-12  # default bound on the dropped tail of the series (truncation_for)
 
 # Cap on delay x series order cells, checked (require_cells) before a curve,
 # peak scan or comparison grid is evaluated; it bounds time, as the comb's
@@ -127,7 +129,7 @@ class CosinePhaseFilter:
 
 @dataclass(frozen=True)
 class SeriesTruncation:
-    """The depth's Bessel series, built once: orders -max_order..max_order, i^m J_m(depth)."""
+    """The depth's Bessel series, read-only: orders -max_order..max_order, i^m J_m(depth)."""
 
     depth: float
     max_order: int
@@ -145,6 +147,7 @@ class SeriesTruncation:
         i_pow = np.array([1.0, 1.0j, -1.0, -1.0j])[np.mod(orders, 4)]
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "coefficients", i_pow * j)
+        self.orders.flags.writeable = self.coefficients.flags.writeable = False
 
 
 def characteristic_time(params: PhysicalParams) -> float:
@@ -186,7 +189,7 @@ def pump_phase(params: PhysicalParams, beta: float, max_order: int = 1) -> float
     return math.remainder(theta, 2.0 * math.pi)
 
 
-def truncation_for(filt: CosinePhaseFilter, tol: float = 1e-12) -> SeriesTruncation:
+def truncation_for(filt: CosinePhaseFilter, tol: float = TRUNC_TOL) -> SeriesTruncation:
     """Smallest symmetric cutoff M for the given filter depth.
 
     M is the first order whose dropped two-sided tail 2 sum_{m > M} |J_m(depth)|
@@ -195,29 +198,35 @@ def truncation_for(filt: CosinePhaseFilter, tol: float = 1e-12) -> SeriesTruncat
     starts at depth + 80 orders and doubles, up to MAX_ORDER, until it holds
     such an M.  The orders past the table's end n count too: past the depth,
     J_k > 0 falls with a falling ratio (Turan's inequality J_k^2 > J_{k-1} J_{k+1}),
-    so they sum to at most J_n r / (1 - r) with r = J_n / J_{n-1}.
+    so they sum to at most J_n r / (1 - r) with r = J_n / J_{n-1}.  Each (depth, tol)
+    is built once a process (the last 64 are kept) and shared read-only.
     """
+    return _truncation(filt.depth, tol)
+
+
+@lru_cache(maxsize=64)
+def _truncation(depth: float, tol: float) -> SeriesTruncation:
     if not 0 < tol <= 1e-3:
         raise ParameterError(f"tol must be in (0, 1e-3], got {tol!r}")
-    if filt.depth > MAX_ORDER:
+    if depth > MAX_ORDER:
         # orders near the depth have |J| ~ 0.4 m^(-1/3), so no cutoff exists
-        raise ParameterError(f"filter depth {filt.depth} too large for series truncation")
-    n = min(math.ceil(filt.depth) + 80, MAX_ORDER)
+        raise ParameterError(f"filter depth {depth} too large for series truncation")
+    n = min(math.ceil(depth) + 80, MAX_ORDER)
     while True:
-        table = bessel_j_table(filt.depth, n)
+        table = bessel_j_table(depth, n)
         j = np.abs(table)
         beyond = math.inf
         if j[-1] == 0.0:
             beyond = 0.0
-        elif n - 1 > filt.depth and j[-2] > j[-1]:
+        elif n - 1 > depth and j[-2] > j[-1]:
             beyond = j[-1] ** 2 / (j[-2] - j[-1])
         # dropped[m] = 2 (sum_{m < k <= n} |J_k| + beyond), summed from the table's end
         dropped = 2.0 * (np.append(np.cumsum(j[:0:-1])[::-1], 0.0) + beyond)
         passing = np.flatnonzero(dropped < 0.5 * tol)
         if passing.size:
-            return SeriesTruncation(filt.depth, int(passing[0]), table)
+            return SeriesTruncation(depth, int(passing[0]), table)
         if n == MAX_ORDER:
-            raise ParameterError(f"filter depth {filt.depth} too large for series truncation")
+            raise ParameterError(f"filter depth {depth} too large for series truncation")
         n = min(2 * n, MAX_ORDER)
 
 
@@ -338,17 +347,12 @@ def comb_rates(params: PhysicalParams, trunc: SeriesTruncation, betas, counts,
     return np.multiply(rates, rates, out=rates)  # x * x, not pow
 
 
-def require_depth(filt: CosinePhaseFilter, trunc: SeriesTruncation) -> None:
-    """Refuse a truncation built for another depth than filt's."""
-    if trunc.depth != filt.depth:
-        raise ParameterError(f"truncation is for depth {trunc.depth!r}, not {filt.depth!r}")
-
-
 def count_rate(params: PhysicalParams, filt: CosinePhaseFilter,
                trunc: SeriesTruncation, tau) -> float | np.ndarray:
     """comb_rates at delays tau (fs) as one run, scalar in, scalar out; at depth 0 it is
-    exp(-2 tau^2/T^2), peaking at exactly 1."""
-    require_depth(filt, trunc)
+    exp(-2 tau^2/T^2), peaking at exactly 1.  A truncation of another depth is refused."""
+    if trunc.depth != filt.depth:
+        raise ParameterError(f"truncation is for depth {trunc.depth!r}, not {filt.depth!r}")
     taus = np.asarray(tau, dtype=float)
     rates = comb_rates(params, trunc, [filt.mod_frequency], [taus.size],
                        taus.ravel()).reshape(taus.shape)
@@ -389,10 +393,11 @@ class CorrelationCurve:
 
 
 def sample_curve(params: PhysicalParams, filt: CosinePhaseFilter, tau_grid,
-                 method: str = "series", trunc: SeriesTruncation | None = None,
+                 method: str = "series", trunc_tol: float = TRUNC_TOL,
                  settings=None) -> CorrelationCurve:
     """Evaluate the rate over tau_grid by the series or by direct quadrature.
 
+    The series is cut at trunc_tol (truncation_for), the quadrature follows settings.
     Both methods share the depth-0 peak-1 normalization, so their curves are
     directly comparable.
     """
@@ -402,9 +407,7 @@ def sample_curve(params: PhysicalParams, filt: CosinePhaseFilter, tau_grid,
     if tau_grid.ndim != 1 or tau_grid.size == 0:
         raise ParameterError("tau_grid must be a non-empty 1-d array")
     if method == "series":
-        if trunc is None:
-            trunc = truncation_for(filt)
-        require_depth(filt, trunc)
+        trunc = truncation_for(filt, trunc_tol)
         require_cells(f"the curve over {tau_grid[0]:g} .. {tau_grid[-1]:g} fs", tau_grid.size,
                       trunc, "use fewer points")
         rates = count_rate(params, filt, trunc, tau_grid)

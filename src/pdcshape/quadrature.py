@@ -32,9 +32,9 @@ import numpy as np
 from .errors import ConvergenceError, ParameterError
 from .model import (
     _MAX_COMB_CELLS,
+    TRUNC_TOL,
     CosinePhaseFilter,
     PhysicalParams,
-    SeriesTruncation,
     characteristic_time,
     count_rate,
     pump_phase,
@@ -327,8 +327,9 @@ def rate_grid(params: PhysicalParams, filt: CosinePhaseFilter, tau_grid,
 
 
 def _comparison_halfcount(params: PhysicalParams, filt: CosinePhaseFilter,
-                          trunc: SeriesTruncation) -> int:
+                          trunc_tol: float) -> int:
     """n of comparison_grid's 2n + 1 delays; ParameterError if the grid is over the cap."""
+    trunc = truncation_for(filt, trunc_tol)
     half = series_halfwidth(params, filt, trunc)
     n = np.ceil(half / COMPARISON_SPACING)  # in float: an inf is refused, not converted
     require_cells(f"the comparison grid over +-{half:g} fs in {COMPARISON_SPACING:g} fs steps",
@@ -337,22 +338,19 @@ def _comparison_halfcount(params: PhysicalParams, filt: CosinePhaseFilter,
 
 
 def comparison_grid(params: PhysicalParams, filt: CosinePhaseFilter,
-                    trunc: SeriesTruncation | None = None) -> np.ndarray:
-    """Uniform tau grid, COMPARISON_SPACING apart, over every series lobe with ~5T margin."""
-    if trunc is None:
-        trunc = truncation_for(filt)
-    n = _comparison_halfcount(params, filt, trunc)
+                    trunc_tol: float = TRUNC_TOL) -> np.ndarray:
+    """Uniform tau grid, COMPARISON_SPACING apart, over every lobe of the series cut at
+    trunc_tol, with ~5T margin."""
+    n = _comparison_halfcount(params, filt, trunc_tol)
     return np.arange(-n, n + 1) * COMPARISON_SPACING
 
 
 def compare_methods(params: PhysicalParams, filt: CosinePhaseFilter, tau_grid,
                     settings: QuadratureSettings | None = None,
-                    trunc: SeriesTruncation | None = None) -> DeviationReport:
-    """Worst |rate_series - rate_quadrature| over the grid and where it occurs."""
+                    trunc_tol: float = TRUNC_TOL) -> DeviationReport:
+    """Worst |rate_series - rate_quadrature|, series cut at trunc_tol, and where it occurs."""
     taus = np.asarray(tau_grid, dtype=float)
-    if trunc is None:
-        trunc = truncation_for(filt)
-    series = np.asarray(count_rate(params, filt, trunc, taus))
+    series = np.asarray(count_rate(params, filt, truncation_for(filt, trunc_tol), taus))
     quad = rate_grid(params, filt, taus, settings)
     diff = np.abs(series - quad)
     k = int(np.argmax(diff))

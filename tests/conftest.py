@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdcshape import DEFAULT_PARAMS, CosinePhaseFilter, characteristic_time
+from pdcshape import DEFAULT_PARAMS, CosinePhaseFilter, characteristic_time, model
 from pdcshape.csvio import write_csv
 
 
@@ -16,6 +16,15 @@ def params():
 @pytest.fixture(scope="session")
 def T(params):
     return characteristic_time(params)
+
+
+@pytest.fixture
+def cold_truncations():
+    """An empty truncation memo, emptied again afterwards, so that the test builds
+    every series it uses and none it builds (under a patched Bessel table) outlives it."""
+    model._truncation.cache_clear()
+    yield
+    model._truncation.cache_clear()
 
 
 @pytest.fixture

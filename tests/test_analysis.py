@@ -92,13 +92,6 @@ class TestFindTauMax:
         with pytest.raises(ParameterError):
             find_tau_max(params, standard_filter, **kwargs)
 
-    def test_truncation_depth_checked_before_the_window(self, params):
-        # sized with this depth-10 truncation, the beta = 1e6 fs window would be
-        # over the cell cap; the mismatch is what is wrong, so it is what is reported
-        with pytest.raises(ParameterError, match="truncation is for depth 10.0, not 0.0"):
-            find_tau_max(params, CosinePhaseFilter(0.0, 1e6),
-                         trunc=truncation_for(CosinePhaseFilter(10.0, 0.0)))
-
     @pytest.mark.parametrize("beta", [48.0, 50.5, 53.0])
     def test_grid_step_independence(self, params, beta):
         filt = CosinePhaseFilter(2.0, beta)
@@ -217,7 +210,7 @@ class TestLockstepSearch:
             assert np.array_equal(want, have)
         for i, b in enumerate(betas):
             res = find_tau_max(params, CosinePhaseFilter(depth, float(b)), grid_step=grid_step,
-                               refine_tol=refine_tol, trunc=trunc)
+                               refine_tol=refine_tol)
             assert [res.tau_max, res.rate_at_max, res.refinement_width] == expected[:, i].tolist()
 
     # one beta a group, and the default groups
@@ -320,7 +313,7 @@ class TestSweep:
         with pytest.raises(ParameterError):
             sweep_beta(params, 2.0, 50.0, 48.0, 0.1)
 
-    def test_series_built_once_per_depth(self, params, monkeypatch):
+    def test_series_built_once_per_depth(self, params, monkeypatch, cold_truncations):
         # the table that chose the cutoff also gives the coefficients, however
         # many betas the sweep visits
         calls = []
@@ -507,6 +500,11 @@ class TestDetectLobes:
                              uniform_grid(2000.0, 1.0))
         assert all(l.prominence > 0 for l in detect_lobes(curve).lobes)
 
+    def test_one_point_curve_refused(self, params, standard_filter):
+        curve = sample_curve(params, standard_filter, np.array([0.0]))
+        with pytest.raises(ParameterError, match="lobe detection requires at least 2 delays"):
+            detect_lobes(curve)
+
 
 class TestTotalIntegral:
     def test_no_filter_closed_form(self, params, no_filter, T):
@@ -535,4 +533,9 @@ class TestTotalIntegral:
         grid = np.concatenate([uniform_grid(1400.0, 2.0), [1403.0]])
         curve = sample_curve(params, no_filter, grid)
         with pytest.raises(ParameterError):
+            total_coincidence_integral(curve)
+
+    def test_one_point_curve_refused(self, params, standard_filter):
+        curve = sample_curve(params, standard_filter, np.array([0.0]))
+        with pytest.raises(ParameterError, match="total integral requires at least 2 delays"):
             total_coincidence_integral(curve)

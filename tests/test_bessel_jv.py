@@ -5,6 +5,7 @@ import pytest
 from scipy.special import jv
 
 from pdcshape import CosinePhaseFilter, ParameterError, bessel_j_table, truncation_for
+from pdcshape import model
 from pdcshape.bessel import MAX_ORDER
 
 # the edge arguments, then a sample of 0..912 (every depth truncation_for serves)
@@ -24,7 +25,7 @@ def test_table_matches_jv(x):
         assert np.all(np.abs(table[past] - ref[past]) <= 1e-12 * np.abs(ref[past]))
 
 
-def test_cutoff_matches_jv(monkeypatch):
+def test_cutoff_matches_jv(monkeypatch, cold_truncations):
     # every 0.1 step from 0 to 912 at both tolerances picked the same M, so a
     # sample of the grid keeps that within Tier-1 time
     depths = np.append(np.round(np.arange(0, 9121, 457) * 0.1, 1), [452.3, 911.9, 912.0])
@@ -32,6 +33,7 @@ def test_cutoff_matches_jv(monkeypatch):
         picked = []
         for table in (bessel_j_table, lambda x, n: jv(np.arange(n + 1), x)):
             monkeypatch.setattr("pdcshape.model.bessel_j_table", table)
+            model._truncation.cache_clear()  # each table picks its own cutoffs
             cutoffs = []
             for depth in depths:
                 try:

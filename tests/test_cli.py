@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pdcshape import ConvergenceError, ParameterError, csvio, errors
+from pdcshape import ConvergenceError, ParameterError, csvio, errors, model
 from pdcshape.cli import _PRESETS, main
 from pdcshape.config import DEFAULTS, read_config_file, resolve_config
 from pdcshape.quadrature import DeviationReport
@@ -156,6 +156,21 @@ class TestCommands:
         assert "light_speed = 300000000.0" in stdout
         rows = data_rows(out)
         assert any(r.startswith("theta_deg,15.0") for r in rows)
+
+    @pytest.mark.parametrize("command,tables", [("fig4", 1), ("fig3", 3)])
+    def test_cold_figure_builds_each_depth_once(self, tmp_path, monkeypatch, cold_truncations,
+                                                command, tables):
+        # fig4 uses depth 2 at three betas, fig3 depths 0, 2 and 10 at two betas each
+        calls = []
+        original = model.bessel_j_table
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(model, "bessel_j_table", counting)
+        assert main([command, "--out", str(tmp_path / "f.csv")]) == 0
+        assert len(calls) == tables
 
     def test_curve_row_count_and_header(self, tmp_path):
         out = tmp_path / "c.csv"
