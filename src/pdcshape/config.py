@@ -17,6 +17,7 @@ from .model import (
     TRUNC_TOL,
     CosinePhaseFilter,
     PhysicalParams,
+    require_trunc_tol,
 )
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
 
@@ -74,8 +75,10 @@ class RunConfig:
             raise ParameterError("points must be >= 2")
         if self.points > _MAX_COMB_CELLS:
             raise ParameterError(f"points must be <= {_MAX_COMB_CELLS}, got {self.points}")
-        # built here so that their checks fire at resolve time, for every command
+        # built and checked here so that their checks fire at resolve time, for
+        # every command, including those that build no series
         self.params, self.quad, CosinePhaseFilter(self.alpha, self.beta)
+        require_trunc_tol(self.trunc_tol)
 
     @cached_property
     def params(self) -> PhysicalParams:

@@ -204,10 +204,15 @@ def truncation_for(filt: CosinePhaseFilter, tol: float = TRUNC_TOL) -> SeriesTru
     return _truncation(filt.depth, tol)
 
 
-@lru_cache(maxsize=64)
-def _truncation(depth: float, tol: float) -> SeriesTruncation:
+def require_trunc_tol(tol: float) -> None:
+    """Refuse a series tail tolerance outside (0, 1e-3]."""
     if not 0 < tol <= 1e-3:
         raise ParameterError(f"tol must be in (0, 1e-3], got {tol!r}")
+
+
+@lru_cache(maxsize=64)
+def _truncation(depth: float, tol: float) -> SeriesTruncation:
+    require_trunc_tol(tol)
     if depth > MAX_ORDER:
         # orders near the depth have |J| ~ 0.4 m^(-1/3), so no cutoff exists
         raise ParameterError(f"filter depth {depth} too large for series truncation")

@@ -6,19 +6,23 @@ The amplitude is evaluated as the frequency integral
                            e^{i depth cos(theta - mod_frequency nu)}
 
 (theta = mod_frequency omega0 / 2 modulo 2 pi, from model.pump_phase) over a
-truncated symmetric window, by a composite trapezoid rule whose point count
-doubles until two successive estimates agree.  The levels are nested:
-the first coarse estimate sums the even nodes, and every finer estimate is
-half the previous one plus the new odd midpoints, so each node is weighted
-and summed once.  The delays must form a uniform grid (linspace, arange times
-a step, or a single delay); its spacing is taken from the end points, and a
-delay off that lattice is refused with ParameterError.  On a uniform grid the
-sum over m equally spaced nodes is a chirp-z transform (Bluestein), one FFT
-convolution per piece of up to max(m, _MIN_PIECE) delays, so a level costs
-O((N + m) log(N + m)) for N delays instead of O(N m), and its memory does
-not grow with N.  Nothing here uses the Bessel expansion, so agreement with
-the series path is a genuine two-route check of the closed form, including
-the sign structure of its exponent.
+truncated symmetric window, by a composite trapezoid rule.  The integrand is
+entire, so the rule's error has an a-priori bound (_coarse_intervals), and the
+coarse interval count comes from that bound before any node is weighted.  One
+halving level checks it; the count doubles further only while that check
+fails, and gives up with ConvergenceError over budget or once the level
+difference stalls at round-off.  The levels are nested: the coarse estimate
+sums the even nodes, and every finer estimate is half the previous one plus
+the new odd midpoints, so each node is weighted and summed once.  The delays
+must form a uniform grid (linspace, arange times a step, or a single delay);
+its spacing is taken from the end points, and a delay off that lattice is
+refused with ParameterError.  On a uniform grid the sum over m equally spaced
+nodes is a chirp-z transform (Bluestein), one FFT convolution per piece of up
+to max(m, _MIN_PIECE) delays, so a level costs O((N + m) log(N + m)) for N
+delays instead of O(N m), and its memory does not grow with N.  Nothing here
+uses the Bessel expansion, so agreement with the series path is a genuine
+two-route check of the closed form, including the sign structure of its
+exponent.
 """
 
 from __future__ import annotations
@@ -45,6 +49,10 @@ from .model import (
 
 #: a chirp-z piece holds up to max(m, _MIN_PIECE) delays for m nodes
 _MIN_PIECE = 8192
+#: y T of the strip bound's trial lines Im nu = y (_coarse_intervals)
+_STRIP_YT = np.geomspace(1e-6, 50.0, 48)
+#: a level difference this small that no longer halves is round-off, about 100 ulps
+_ROUNDOFF = 100.0 * np.finfo(float).eps
 #: how far a delay may sit off its lattice point, in units of eps (|tau_0| + |tau_last|):
 #: about 4-8 ulps of the grid's largest delay
 _LATTICE_EPS = 4.0
@@ -62,8 +70,8 @@ class QuadratureSettings:
 
     halfwidth_folds  window is |nu| <= 2*folds/T, where the Gaussian weight
                      has decayed to e^{-folds^2}
-    initial_points   coarsest interval count (raised automatically when the
-                     integrand oscillates faster than it can resolve)
+    initial_points   least coarse interval count (the trapezoid error bound
+                     raises it where the integrand needs more)
     max_points       refinement budget
     rel_tolerance    successive-estimate agreement target, relative to the
                      larger of the local amplitude and the depth-0 peak scale
@@ -115,16 +123,31 @@ def nu_halfwidth(params: PhysicalParams, settings: QuadratureSettings = DEFAULT_
     return 2.0 * settings.halfwidth_folds / characteristic_time(params)
 
 
-def _required_intervals(nu_max: float, taus: np.ndarray, filt: CosinePhaseFilter,
-                        settings: QuadratureSettings) -> int:
-    """Coarse interval count; ConvergenceError if its first refinement is over budget."""
-    # Resolution guard: the coarse level must already sample the fastest
-    # e^{i nu tau} / filter oscillation, or the doubling check can lie.
-    fastest = max(float(np.max(np.abs(taus))) if taus.size else 0.0, filt.mod_frequency)
-    guard = 40.0 * nu_max * fastest / (2.0 * math.pi)
-    need = 2.0 * guard
-    if guard < settings.max_points:  # false for inf and NaN, which int() cannot take
-        n = max(settings.initial_points, int(math.floor(guard)) + 1)
+def _coarse_intervals(nu_max: float, T: float, taus: np.ndarray, filt: CosinePhaseFilter,
+                      settings: QuadratureSettings) -> int:
+    """Coarse interval count from the trapezoid rule's strip bound; ConvergenceError if
+    its first check is over budget, raised before any node is weighted.
+
+    The integrand is entire.  On the line Im nu = y its modulus integrates to at
+    most M(y) = (2 sqrt(pi)/T) exp(y |tau|max + (T y/2)^2 + depth sinh(mod_frequency y)),
+    so the rule with step h errs by at most 2 M(y) / (e^{2 pi y/h} - 1) on the
+    real line (Trefethen & Weideman, SIAM Review 56(3), 2014, Theorem 5.1).  The
+    step is the largest that holds this bound to rel_tolerance/4 of the scale
+    2 sqrt(pi)/T at some y of _STRIP_YT / T; any y gives a valid bound, so the
+    coarse y grid can only add nodes.
+    """
+    reach = float(np.max(np.abs(taus))) if taus.size else 0.0
+    y = _STRIP_YT / T
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are refused below
+        growth = y * reach + (0.5 * _STRIP_YT) ** 2
+        if filt.depth:  # depth 0 adds nothing, even where sinh overflows
+            growth = growth + filt.depth * np.sinh(filt.mod_frequency * y)
+        # the bound holds where 2 pi / h >= ln(1 + 8 e^growth / rel_tolerance) / y
+        log_ratio = np.logaddexp(0.0, growth + math.log(8.0 / settings.rel_tolerance))
+        count = nu_max / math.pi * float(np.min(log_ratio / y))  # 2 nu_max / h
+    need = 2.0 * count
+    if count < settings.max_points:  # false for inf and NaN, which ceil cannot take
+        n = max(settings.initial_points, math.ceil(count))
         n += n % 2  # even interval counts nest under halving
         if 2 * n <= settings.max_points:
             return n
@@ -194,22 +217,24 @@ def _check_uniform(taus: np.ndarray) -> None:
             f"{off[k]:.3g} fs off the lattice {taus[0]!r} + k * {spacing!r} fs")
 
 
-def _phase_sum(taus: np.ndarray, start: float, step: float,
-               weights: np.ndarray) -> np.ndarray:
-    """sum_j weights[j] exp(i tau (start + j step)) for every tau of a uniform grid.
+def _chirp_z(taus: np.ndarray, step: float, m: int):
+    """The sum over m nodes step apart, set up once for a uniform delay grid.
 
-    A chirp-z transform (Bluestein).  The delay spacing dtau is taken from the
-    end points of taus.  Count the delay k' and the node j' from the
-    midpoints tau_c of a piece of Q delays and nu_c of the m nodes; then
+    Returns phase_sum(start, weights), which gives
+    sum_j weights[j] exp(i tau (start + j step)) for every tau of taus, as a
+    chirp-z transform (Bluestein).  The delay spacing dtau is taken from the
+    end points of taus.  Count the delay k' and the node j' from the midpoints
+    tau_c of a piece of Q delays and nu_c of the m nodes; then
     tau nu = tau nu_c + tau_c step j' + alpha k' j' with alpha = dtau step,
     and k' j' = (k'^2 + j'^2 - (k' - j')^2) / 2 turns the sum over j into one
     convolution with the chirp exp(-i alpha d^2 / 2), done by FFT.  The
     chirp phases are carried exactly (_chirp), so they are no less accurate
-    than tau nu itself.  Q = max(m, _MIN_PIECE) at most; the kernel's FFT is
-    taken once, and each piece then costs two FFTs of a 5-smooth length
-    >= Q + m - 1, so memory is O(Q + m) whatever the delay count.
+    than tau nu itself.  Q = max(m, _MIN_PIECE) at most; the chirp table and
+    the kernel's FFT are built here, once for every start and weights, and
+    each piece then costs two FFTs of a 5-smooth length >= Q + m - 1, so
+    memory is O(Q + m) whatever the delay count.
     """
-    n_taus, m = taus.size, weights.size
+    n_taus = taus.size
     dtau = (taus[-1] - taus[0]) / (n_taus - 1) if n_taus > 1 else 0.0
     alpha = _two_product(dtau, step)
     q = min(n_taus, max(m, _MIN_PIECE))
@@ -221,19 +246,25 @@ def _phase_sum(taus: np.ndarray, start: float, step: float,
     chirp = _chirp(alpha, np.arange(max(-d0, d0 + q + m - 2) + 1))
     kernel = np.fft.fft(np.conj(chirp[np.abs(np.arange(d0, d0 + q + m - 1))]), size)
     j = np.arange(m) - jc
-    node_chirp = weights * chirp[np.abs(j)]
+    node_chirp = chirp[np.abs(j)]
     delay_chirp = chirp[np.abs(np.arange(q) - kc)]
-    nu_c = start + jc * step
     nu_off = step * j
-    out = np.empty(n_taus, dtype=complex)
-    for lo in range(0, n_taus, q):
-        t = taus[lo:lo + q]
-        tau_c = taus[0] + (lo + kc) * dtau
-        conv = np.fft.fft(node_chirp * np.exp(1j * tau_c * nu_off), size)
-        conv *= kernel
-        np.fft.ifft(conv, out=conv)
-        out[lo:lo + q] = np.exp(1j * nu_c * t) * delay_chirp[:t.size] * conv[m - 1:m - 1 + t.size]
-    return out
+
+    def phase_sum(start: float, weights: np.ndarray) -> np.ndarray:
+        weighted = weights * node_chirp
+        nu_c = start + jc * step
+        out = np.empty(n_taus, dtype=complex)
+        for lo in range(0, n_taus, q):
+            t = taus[lo:lo + q]
+            tau_c = taus[0] + (lo + kc) * dtau
+            conv = np.fft.fft(weighted * np.exp(1j * tau_c * nu_off), size)
+            conv *= kernel
+            np.fft.ifft(conv, out=conv)
+            out[lo:lo + q] = (np.exp(1j * nu_c * t) * delay_chirp[:t.size]
+                              * conv[m - 1:m - 1 + t.size])
+        return out
+
+    return phase_sum
 
 
 def _amplitude_grid(params: PhysicalParams, filt: CosinePhaseFilter, taus: np.ndarray,
@@ -251,7 +282,7 @@ def _amplitude_grid(params: PhysicalParams, filt: CosinePhaseFilter, taus: np.nd
     # judged against the curve scale rather than against themselves
     scale_floor = 2.0 * math.sqrt(math.pi) / T
 
-    n_coarse = _required_intervals(nu_max, taus, filt, settings)
+    n_coarse = _coarse_intervals(nu_max, T, taus, filt, settings)
     _check_uniform(taus)
     theta = pump_phase(params, filt.mod_frequency)
     n = 2 * n_coarse
@@ -262,17 +293,22 @@ def _amplitude_grid(params: PhysicalParams, filt: CosinePhaseFilter, taus: np.nd
                       + 1j * filt.depth * np.cos(theta - filt.mod_frequency * nus))
 
     # nested trapezoid levels: the coarse estimate comes from the even nodes,
-    # and each level adds only its odd midpoints to half the previous sum
+    # and each level adds only its odd midpoints to half the previous sum.  The
+    # first midpoints share the even nodes' step 2h; one zero-weight node past
+    # the last gives them the even nodes' count too, so one chirp-z set-up
+    # serves both sums, taken one after the other
     h = 2.0 * nu_max / n
-    w_even = node_weights(-nu_max, 2.0 * h, n_coarse + 1)
-    w_even[0] *= 0.5
-    w_even[-1] *= 0.5
-    coarse = (2.0 * h) * _phase_sum(taus, -nu_max, 2.0 * h, w_even)
+    phase_sum = _chirp_z(taus, 2.0 * h, n_coarse + 1)
+    w = node_weights(-nu_max, 2.0 * h, n_coarse + 1)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    coarse = (2.0 * h) * phase_sum(-nu_max, w)
+    w = node_weights(-nu_max + h, 2.0 * h, n_coarse + 1)
+    w[-1] = 0.0
 
     history: list[float] = []
     while True:
-        w_odd = node_weights(-nu_max + h, 2.0 * h, n // 2)
-        fine = 0.5 * coarse + h * _phase_sum(taus, -nu_max + h, 2.0 * h, w_odd)
+        fine = 0.5 * coarse + h * phase_sum(-nu_max + h, w)
 
         diff = np.abs(fine - coarse)
         rel = diff / np.maximum(np.abs(fine), scale_floor)
@@ -280,14 +316,21 @@ def _amplitude_grid(params: PhysicalParams, filt: CosinePhaseFilter, taus: np.nd
         history.append(worst)
         if worst < settings.rel_tolerance:
             return fine, diff, n, tuple(history)
-        if 2 * n > settings.max_points:
+        # a difference that has stopped halving within _ROUNDOFF is round-off:
+        # more levels would only spend the budget
+        stalled = len(history) > 1 and _ROUNDOFF >= worst >= 0.5 * history[-2]
+        if stalled or 2 * n > settings.max_points:
             k = int(np.argmax(rel))
+            reason = (f"the level difference {worst:.3g} stopped falling at round-off"
+                      if stalled else f"budget {settings.max_points}")
             raise ConvergenceError(
-                f"no convergence at {n} intervals (budget {settings.max_points}): "
+                f"no convergence at {n} intervals ({reason}): "
                 f"last estimates {complex(coarse[k])} vs {complex(fine[k])} at tau={taus[k]} fs")
         coarse = fine
         n *= 2
         h *= 0.5
+        phase_sum = _chirp_z(taus, 2.0 * h, n // 2)
+        w = node_weights(-nu_max + h, 2.0 * h, n // 2)
 
 
 @lru_cache(maxsize=64)
@@ -300,7 +343,7 @@ def _baseline_raw(params: PhysicalParams, settings: QuadratureSettings) -> compl
 
 def amplitude_quadrature(params: PhysicalParams, filt: CosinePhaseFilter, tau: float,
                          settings: QuadratureSettings = DEFAULT_SETTINGS) -> QuadratureResult:
-    """Normalized amplitude at one delay, by adaptive point doubling.
+    """Normalized amplitude at one delay, by the trapezoid rule _amplitude_grid sizes.
 
     The raw integral is divided by the depth-0, tau=0 integral computed with
     the same rule, so the series and quadrature routes share one baseline.

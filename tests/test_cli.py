@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -371,7 +372,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flags,code,message", [
         (["--beta", "1e308"], 5, "error: resolving the integrand needs inf intervals"),
-        (["--tau-max", "1e308"], 5, "error: resolving the integrand needs inf intervals"),
+        # the strip bound's count stays finite here: about 2 |tau| nu_max / pi
+        (["--tau-max", "1e308"], 5, "error: resolving the integrand needs 2.95e+306 intervals"),
         (["--tau-min=-1e308", "--tau-max", "1e308"], 2,
          "error: tau_max - tau_min must be finite"),
     ], ids=["beta", "tau-max", "tau-span"])
@@ -443,6 +445,43 @@ class TestExitCodes:
         assert main(["curve", "--method", "quadrature", "--points", "5",
                      "--tau-min", "-100000", "--tau-max", "100000",
                      "--config", str(f), "--out", str(tmp_path / "x.csv")]) == 5
+
+    @pytest.mark.parametrize("argv", [
+        ["params"],
+        ["curve", "--method", "quadrature", "--points", "101"],
+        ["tau-max"],
+    ], ids=["params", "curve-quadrature", "tau-max"])
+    def test_usage_error_on_refused_trunc_tol(self, tmp_path, capsys, argv):
+        # checked at resolve time, also by commands that build no series
+        f = tmp_path / "tol.cfg"
+        f.write_text("trunc_tol = 0.5\n")
+        assert main([*argv, "--config", str(f), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == "error: tol must be in (0, 1e-3], got 0.5\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--method", "quadrature", "--points", "101"],
+        ["validate"],
+    ], ids=["curve", "validate"])
+    def test_round_off_floor_ends_quickly(self, tmp_path, argv):
+        # a tolerance below round-off: the level differences stall near 3e-16, and
+        # the quadrature gives up there rather than doubling to the 2^24 budget.
+        # The run is a grandchild, so that RUSAGE_CHILDREN counts it alone; its
+        # time is CPU time on one BLAS thread, which other load on the host
+        # does not stretch as it does wall time.
+        f = tmp_path / "tight.cfg"
+        f.write_text("quad_rel_tol = 1e-17\nquad_max_points = 16777216\n")
+        measure = ("import resource, subprocess, sys\n"
+                   "code = subprocess.run(sys.argv[1:], capture_output=True).returncode\n"
+                   "used = resource.getrusage(resource.RUSAGE_CHILDREN)\n"
+                   "print(code, used.ru_utime + used.ru_stime, used.ru_maxrss)\n")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", measure, sys.executable, "-m", "pdcshape",
+                               *argv, "--config", str(f), "--out", str(tmp_path / "x.csv")],
+                              capture_output=True, text=True, timeout=60, env=env)
+        code, cpu_s, peak_kb = proc.stdout.split()
+        assert int(code) == 5
+        assert float(cpu_s) < 0.5
+        assert int(peak_kb) < 100 * 1024
 
     def test_validate_converges_at_rounding_limited_pump(self, tmp_path, capsys):
         # at 1e-9 nm the pump phase beta omega0 / 2 is ~1e10 rad; unreduced, its

@@ -21,8 +21,15 @@ from pdcshape import (
     truncation_for,
 )
 from pdcshape import quadrature
-from pdcshape.model import amplitude_comb
-from pdcshape.quadrature import DEFAULT_SETTINGS, _amplitude_grid, _baseline_raw
+from pdcshape.model import amplitude_comb, series_halfwidth
+from pdcshape.quadrature import (
+    DEFAULT_SETTINGS,
+    VALIDATION_DEPTHS,
+    VALIDATION_MOD_FREQUENCIES,
+    _amplitude_grid,
+    _baseline_raw,
+    nu_halfwidth,
+)
 
 
 class TestAmplitude:
@@ -127,6 +134,58 @@ class TestFactorizedSum:
         assert peak < 64 * taus.size + 4_000_000
 
 
+class TestStripBound:
+    @pytest.mark.parametrize("depth", VALIDATION_DEPTHS)
+    def test_validate_cells_no_larger_than_the_old_guard(self, params, depth):
+        # the earlier rule: 40 nu_max max(|tau|max, beta) / 2 pi intervals, about
+        # 20 nodes a period of e^{i nu tau}, floored at initial_points and made even
+        nu_max = nu_halfwidth(params)
+        for beta in VALIDATION_MOD_FREQUENCIES:
+            filt = CosinePhaseFilter(depth, beta)
+            taus = comparison_grid(params, filt)
+            guard = 40.0 * nu_max * max(np.max(np.abs(taus)), beta) / (2.0 * math.pi)
+            old = max(DEFAULT_SETTINGS.initial_points, math.floor(guard) + 1)
+            old += old % 2
+            _, _, n, history = _amplitude_grid(params, filt, taus, DEFAULT_SETTINGS)
+            assert n // 2 <= old, beta
+            assert len(history) == 1, beta
+
+    @given(depth=st.floats(min_value=0.0, max_value=10.0),
+           mod_frequency=st.floats(min_value=0.0, max_value=1000.0),
+           first=st.floats(min_value=-1.0, max_value=1.0),
+           last=st.floats(min_value=-1.0, max_value=1.0),
+           count=st.integers(min_value=1, max_value=8))
+    @example(depth=10.0, mod_frequency=1000.0, first=-1.0, last=1.0, count=2)
+    @example(depth=0.0, mod_frequency=0.0, first=0.0, last=0.0, count=1)
+    @settings(max_examples=25, deadline=None)
+    def test_first_level_passes_and_matches_dense_sum(self, params, T, depth, mod_frequency,
+                                                      first, last, count):
+        # any uniform grid inside the series half-width M beta + 5T
+        filt = CosinePhaseFilter(depth, mod_frequency)
+        half = series_halfwidth(params, filt, truncation_for(filt))
+        taus = np.linspace(first * half, last * half, count)
+        values, _, n, history = _amplitude_grid(params, filt, taus, DEFAULT_SETTINGS)
+        assert len(history) == 1
+        assert history[0] < DEFAULT_SETTINGS.rel_tolerance
+        dense = dense_trapezoid(params, filt, taus, n, DEFAULT_SETTINGS)
+        assert np.max(np.abs(values - dense)) <= 1e-13 * 2.0 * math.sqrt(math.pi) / T
+
+    def test_wide_window_memory(self, params):
+        # three delays over +-1.5e6 fs: the bound asks for 44,324 intervals, ~2.3 MB
+        # at peak; 20 nodes a period of e^{i nu tau} (885,496) would take ~53 MB
+        taus = np.linspace(-1.5e6, 1.5e6, 3)
+        filt = CosinePhaseFilter(2.0, 50.0)
+        rate_grid(params, filt, taus)  # the shared baseline, memoised
+        tracemalloc.start()
+        try:
+            rates = rate_grid(params, filt, taus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all((rates >= 0.0) & (rates <= 1.0))
+        assert peak < 4_000_000
+
+
 class TestUniformGrid:
     @pytest.mark.parametrize("taus", [[0.0, 1.0, 3.0], [0.0, 1.0, 1.0, 2.0],
                                       [-600.0, -599.5, 600.0]])
@@ -138,8 +197,10 @@ class TestUniformGrid:
 
 
 class TestConvergence:
-    def test_refinement_differences_decrease(self, params):
-        # start deliberately coarse so several doublings are needed
+    def test_refinement_differences_decrease(self, params, monkeypatch):
+        # start deliberately coarse, below the strip bound's 142 intervals, so
+        # several doublings are needed
+        monkeypatch.setattr(quadrature, "_coarse_intervals", lambda *args: 64)
         filt = CosinePhaseFilter(10.0, 300.0)
         res = amplitude_quadrature(params, filt, 0.0,
                                    settings=QuadratureSettings(initial_points=64))
@@ -153,12 +214,18 @@ class TestConvergence:
         with pytest.raises(ConvergenceError):
             amplitude_quadrature(params, standard_filter, 1e6, settings=settings)
 
-    def test_budget_exhausted_mid_refinement(self, params):
-        # resolvable only at ~1184 intervals, but the budget stops at 600
+    def test_budget_exhausted_mid_refinement(self, params, monkeypatch):
+        # resolvable only at ~1184 intervals, but the budget stops at 600: the
+        # strip bound refuses this up front
         settings = QuadratureSettings(initial_points=64, max_points=600)
+        filt = CosinePhaseFilter(10.0, 1000.0)
+        with pytest.raises(ConvergenceError, match="resolving the integrand needs"):
+            amplitude_quadrature(params, filt, 0.0, settings=settings)
+        # from a too-coarse start (the 296 intervals of the earlier 20-nodes-a-period
+        # guard) the doubling runs out of budget instead
+        monkeypatch.setattr(quadrature, "_coarse_intervals", lambda *args: 296)
         with pytest.raises(ConvergenceError, match="last estimates"):
-            amplitude_quadrature(params, CosinePhaseFilter(10.0, 1000.0), 0.0,
-                                 settings=settings)
+            amplitude_quadrature(params, filt, 0.0, settings=settings)
 
     @pytest.mark.parametrize("kwargs", [
         dict(halfwidth_folds=0.0),
