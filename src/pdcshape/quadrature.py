@@ -6,14 +6,12 @@ The amplitude is evaluated as the frequency integral
                            e^{i depth cos(theta - mod_frequency nu)}
 
 (theta = mod_frequency omega0 / 2 modulo 2 pi, from model.pump_phase) over a
-truncated symmetric window, by a composite trapezoid rule.  The integrand is
-entire, so the rule's error has an a-priori bound (_coarse_intervals), and the
-coarse interval count comes from that bound before any node is weighted.  One
-halving level checks it; the count doubles further only while that check
-fails, and gives up with ConvergenceError over budget or once the level
-difference stalls at round-off.  The levels are nested: the coarse estimate
-sums the even nodes, and every finer estimate is half the previous one plus
-the new odd midpoints, so each node is weighted and summed once.  The delays
+truncated symmetric window, by a composite trapezoid rule.  Both of its errors
+have a-priori bounds, met before any node is weighted: the integrand is entire,
+which bounds the step's error (_coarse_intervals), and its real-line modulus is
+the Gaussian weight, which bounds what the window cuts off (nu_halfwidth).  One
+halving level, which adds the odd midpoints to half the coarse sum, confirms
+both: the two estimates agree to rel_tolerance, or ConvergenceError.  The delays
 must form a uniform grid (linspace, arange times a step, or a single delay);
 its spacing is taken from the end points, and a delay off that lattice is
 refused with ParameterError.  On a uniform grid the sum over m equally spaced
@@ -51,8 +49,6 @@ from .model import (
 _MIN_PIECE = 8192
 #: y T of the strip bound's trial lines Im nu = y (_coarse_intervals)
 _STRIP_YT = np.geomspace(1e-6, 50.0, 48)
-#: a level difference this small that no longer halves is round-off, about 100 ulps
-_ROUNDOFF = 100.0 * np.finfo(float).eps
 #: how far a delay may sit off its lattice point, in units of eps (|tau_0| + |tau_last|):
 #: about 4-8 ulps of the grid's largest delay
 _LATTICE_EPS = 4.0
@@ -66,15 +62,16 @@ COMPARISON_SPACING = 10.0
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Window and refinement policy for the frequency integral.
+    """Window and sizing policy for the frequency integral.
 
-    halfwidth_folds  window is |nu| <= 2*folds/T, where the Gaussian weight
-                     has decayed to e^{-folds^2}
+    halfwidth_folds  least window |nu| <= 2*folds/T, where the Gaussian weight
+                     is e^{-folds^2}; rel_tolerance may widen it (nu_halfwidth)
     initial_points   least coarse interval count (the trapezoid error bound
                      raises it where the integrand needs more)
-    max_points       refinement budget
-    rel_tolerance    successive-estimate agreement target, relative to the
-                     larger of the local amplitude and the depth-0 peak scale
+    max_points       budget for the checking level (twice the coarse count),
+                     refused before any node is weighted
+    rel_tolerance    agreement target of the coarse and halved estimates, relative
+                     to the larger of the local amplitude and the depth-0 peak scale
     """
 
     halfwidth_folds: float = 6.0
@@ -89,7 +86,7 @@ class QuadratureSettings:
             raise ParameterError("initial_points must be >= 64")
         if self.max_points < self.initial_points:
             raise ParameterError("max_points must be >= initial_points")
-        # the same memory cap: the last level's chirp-z buffers take up to about
+        # the same memory cap: the checking level's chirp-z buffers take up to about
         # 80 B an interval at peak, besides the delay-length results
         if self.max_points > _MAX_COMB_CELLS:
             raise ParameterError(f"max_points must be <= {_MAX_COMB_CELLS}")
@@ -119,14 +116,21 @@ class DeviationReport:
 
 
 def nu_halfwidth(params: PhysicalParams, settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
-    """Integration window edge 2*folds/T in rad/fs."""
-    return 2.0 * settings.halfwidth_folds / characteristic_time(params)
+    """Window edge 2 f / T in rad/fs, f = max(halfwidth_folds, sqrt(ln(8 / rel_tolerance))).
+
+    The integrand's real-line modulus is the Gaussian weight, e^{-f^2} at the
+    edge, so for n >= 128 intervals the nodes cut off cost at most
+    (h T / 2 sqrt(pi)) e^{-f^2} + erfc(f) <= e^{-f^2} (f/113 + 1/(f sqrt(pi))) of
+    the scale 2 sqrt(pi)/T: under 0.27 e^{-f^2} <= rel_tolerance/29 at f in [4.0, 27.3].
+    """
+    floor = math.sqrt(math.log(8.0) - math.log(settings.rel_tolerance))
+    return 2.0 * max(settings.halfwidth_folds, floor) / characteristic_time(params)
 
 
 def _coarse_intervals(nu_max: float, T: float, taus: np.ndarray, filt: CosinePhaseFilter,
                       settings: QuadratureSettings) -> int:
     """Coarse interval count from the trapezoid rule's strip bound; ConvergenceError if
-    its first check is over budget, raised before any node is weighted.
+    its halving check is over budget, raised before any node is weighted.
 
     The integrand is entire.  On the line Im nu = y its modulus integrates to at
     most M(y) = (2 sqrt(pi)/T) exp(y |tau|max + (T y/2)^2 + depth sinh(mod_frequency y)),
@@ -134,7 +138,7 @@ def _coarse_intervals(nu_max: float, T: float, taus: np.ndarray, filt: CosinePha
     real line (Trefethen & Weideman, SIAM Review 56(3), 2014, Theorem 5.1).  The
     step is the largest that holds this bound to rel_tolerance/4 of the scale
     2 sqrt(pi)/T at some y of _STRIP_YT / T; any y gives a valid bound, so the
-    coarse y grid can only add nodes.
+    coarse y grid can only add nodes.  The window takes rel_tolerance/29 more (nu_halfwidth).
     """
     reach = float(np.max(np.abs(taus))) if taus.size else 0.0
     y = _STRIP_YT / T
@@ -270,15 +274,15 @@ def _chirp_z(taus: np.ndarray, step: float, m: int):
 def _amplitude_grid(params: PhysicalParams, filt: CosinePhaseFilter, taus: np.ndarray,
                     settings: QuadratureSettings,
                     ) -> tuple[np.ndarray, np.ndarray, int, tuple[float, ...]]:
-    """Raw (unnormalized) amplitudes over a tau grid, refined to tolerance.
+    """Raw (unnormalized) amplitudes over a tau grid, checked to tolerance.
 
-    Returns (values, per-tau estimate differences, interval count, history of
-    per-level worst relative differences).
+    Returns (values, per-tau estimate differences, interval count, and the
+    halving check's worst relative difference as a 1-tuple).
     """
     taus = np.asarray(taus, dtype=float)
     T = characteristic_time(params)
     nu_max = nu_halfwidth(params, settings)
-    # convergence floor: the depth-0 peak integral, so near-zero tails are
+    # the check's floor: the depth-0 peak integral, so near-zero tails are
     # judged against the curve scale rather than against themselves
     scale_floor = 2.0 * math.sqrt(math.pi) / T
 
@@ -293,10 +297,10 @@ def _amplitude_grid(params: PhysicalParams, filt: CosinePhaseFilter, taus: np.nd
                       + 1j * filt.depth * np.cos(theta - filt.mod_frequency * nus))
 
     # nested trapezoid levels: the coarse estimate comes from the even nodes,
-    # and each level adds only its odd midpoints to half the previous sum.  The
-    # first midpoints share the even nodes' step 2h; one zero-weight node past
-    # the last gives them the even nodes' count too, so one chirp-z set-up
-    # serves both sums, taken one after the other
+    # and the checking level adds only the odd midpoints to half its sum.  The
+    # midpoints share the even nodes' step 2h; one zero-weight node past the
+    # last gives them the even nodes' count too, so one chirp-z set-up serves
+    # both sums, taken one after the other
     h = 2.0 * nu_max / n
     phase_sum = _chirp_z(taus, 2.0 * h, n_coarse + 1)
     w = node_weights(-nu_max, 2.0 * h, n_coarse + 1)
@@ -305,32 +309,17 @@ def _amplitude_grid(params: PhysicalParams, filt: CosinePhaseFilter, taus: np.nd
     coarse = (2.0 * h) * phase_sum(-nu_max, w)
     w = node_weights(-nu_max + h, 2.0 * h, n_coarse + 1)
     w[-1] = 0.0
-
-    history: list[float] = []
-    while True:
-        fine = 0.5 * coarse + h * phase_sum(-nu_max + h, w)
-
-        diff = np.abs(fine - coarse)
-        rel = diff / np.maximum(np.abs(fine), scale_floor)
-        worst = float(np.max(rel))
-        history.append(worst)
-        if worst < settings.rel_tolerance:
-            return fine, diff, n, tuple(history)
-        # a difference that has stopped halving within _ROUNDOFF is round-off:
-        # more levels would only spend the budget
-        stalled = len(history) > 1 and _ROUNDOFF >= worst >= 0.5 * history[-2]
-        if stalled or 2 * n > settings.max_points:
-            k = int(np.argmax(rel))
-            reason = (f"the level difference {worst:.3g} stopped falling at round-off"
-                      if stalled else f"budget {settings.max_points}")
-            raise ConvergenceError(
-                f"no convergence at {n} intervals ({reason}): "
-                f"last estimates {complex(coarse[k])} vs {complex(fine[k])} at tau={taus[k]} fs")
-        coarse = fine
-        n *= 2
-        h *= 0.5
-        phase_sum = _chirp_z(taus, 2.0 * h, n // 2)
-        w = node_weights(-nu_max + h, 2.0 * h, n // 2)
+    fine = 0.5 * coarse + h * phase_sum(-nu_max + h, w)
+    diff = np.abs(fine - coarse)
+    rel = diff / np.maximum(np.abs(fine), scale_floor)
+    k = int(np.argmax(rel))
+    worst = float(rel[k])
+    if worst < settings.rel_tolerance:
+        return fine, diff, n, (worst,)
+    raise ConvergenceError(
+        f"no convergence at {n} intervals (the halving check differs by {worst:.3g}, not "
+        f"below {settings.rel_tolerance:g}): "
+        f"last estimates {complex(coarse[k])} vs {complex(fine[k])} at tau={taus[k]} fs")
 
 
 @lru_cache(maxsize=64)
@@ -358,7 +347,7 @@ def amplitude_quadrature(params: PhysicalParams, filt: CosinePhaseFilter, tau: f
 
 def rate_grid(params: PhysicalParams, filt: CosinePhaseFilter, tau_grid,
               settings: QuadratureSettings | None = None) -> np.ndarray:
-    """Normalized rates |A|^2 over a tau grid, one refinement for the whole grid."""
+    """Normalized rates |A|^2 over a tau grid, one checked sum for the whole grid."""
     if settings is None:
         settings = DEFAULT_SETTINGS
     taus = np.asarray(tau_grid, dtype=float)

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -6,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pdcshape import ConvergenceError, ParameterError, csvio, errors, model
+from pdcshape import (ConvergenceError, CosinePhaseFilter, ParameterError, csvio, errors, model,
+                      rate_grid)
 from pdcshape.cli import _PRESETS, main
 from pdcshape.config import DEFAULTS, read_config_file, resolve_config
 from pdcshape.quadrature import DeviationReport
@@ -281,22 +283,52 @@ class TestExitCodes:
     def test_usage_error_on_unknown_flag(self):
         assert main(["curve", "--frequency", "3"]) == 2
 
-    @pytest.mark.parametrize("argv", [
-        ["curve", "--alpha", "x"],
-        ["curve", "--method", "foo"],
-        ["curve", "--frequency", "3"],
-        [],
-        ["bogus"],
+    @pytest.mark.parametrize("argv,config,message", [
+        (["curve", "--alpha", "x"], None, "argument --alpha: invalid float value: 'x'"),
+        (["curve", "--method", "foo"], None, "argument --method: invalid choice: 'foo'"),
+        (["curve", "--frequency", "3"], None, "unrecognized arguments: --frequency 3"),
+        ([], None, "the following arguments are required: command"),
+        (["bogus"], None, "argument command: invalid choice: 'bogus'"),
         # argparse reads -1e3 as an option; --tau-min=-1e3 is the accepted form
-        ["curve", "--tau-min", "-1e3"],
+        (["curve", "--tau-min", "-1e3"], None, "argument --tau-min: expected one argument"),
+        # refusals of the resolved settings and of the file read the same way
+        (["curve"], "method = simpson\n", "method must be one of ('series', 'quadrature')"),
+        (["curve"], "alpha 2\n", ":1: expected 'key = value', got 'alpha 2'"),
+        (["curve", "--tau-min", "5", "--tau-max", "5"], None, "tau_min must be less than tau_max"),
+        (["curve", "--points", "1"], None, "points must be >= 2"),
+        (["curve", "--light-speed", "0"], None, "light_speed must be > 0"),
+        (["sweep-beta", "--beta-step", "0"], None, "beta_step must be > 0"),
+        # a 0.5 fs step is below the float spacing (2 fs) near 1e16 fs
+        (["sweep-beta", "--alpha", "2", "--beta-start", "1e16",
+          "--beta-end", "10000000000000008", "--beta-step", "0.5"], "search_halfwidth = 1000\n",
+         "beta_values must be strictly increasing"),
     ], ids=["bad-float", "bad-choice", "unknown-flag", "no-command", "bad-command",
-            "negative-exponent"])
-    def test_argparse_refusal_is_one_error_line(self, capsys, argv):
+            "negative-exponent", "config-method", "config-no-equals", "empty-window",
+            "one-point", "zero-light-speed", "zero-beta-step", "beta-below-float-spacing"])
+    def test_argparse_refusal_is_one_error_line(self, tmp_path, monkeypatch, capsys, argv,
+                                                config, message):
+        monkeypatch.chdir(tmp_path)  # where a command that is not refused would write
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            argv = [*argv, "--config", "run.cfg"]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+        assert message in captured.err
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("refused,message", [
+        (lambda p: model.CorrelationCurve(np.array([]), np.array([]), p),
+         "tau_grid must be a non-empty 1-d array"),
+        (lambda p: model.CorrelationCurve(np.array([0.0, np.nan]), np.ones(2), p),
+         "tau_grid must be finite"),
+        (lambda p: rate_grid(p, CosinePhaseFilter(2.0, 50.0), []), "tau_grid must be non-empty"),
+        (lambda p: resolve_config({"bogus": 1}), "unknown config keys: ['bogus']"),
+    ], ids=["curve-empty", "curve-non-finite", "rate-grid-empty", "unknown-key"])
+    def test_library_refusal_is_a_parameter_error(self, params, refused, message):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            refused(params)
 
     def test_help_exits_zero(self, capsys):
         assert main(["-h"]) == 0
@@ -463,8 +495,8 @@ class TestExitCodes:
         ["validate"],
     ], ids=["curve", "validate"])
     def test_round_off_floor_ends_quickly(self, tmp_path, argv):
-        # a tolerance below round-off: the level differences stall near 3e-16, and
-        # the quadrature gives up there rather than doubling to the 2^24 budget.
+        # a tolerance below round-off: the one halving check differs by ~1e-16, so
+        # the quadrature exits 5 at the first level the error bound sizes.
         # The run is a grandchild, so that RUSAGE_CHILDREN counts it alone; its
         # time is CPU time on one BLAS thread, which other load on the host
         # does not stretch as it does wall time.
@@ -485,11 +517,21 @@ class TestExitCodes:
 
     def test_validate_converges_at_rounding_limited_pump(self, tmp_path, capsys):
         # at 1e-9 nm the pump phase beta omega0 / 2 is ~1e10 rad; unreduced, its
-        # rounding noise kept successive levels apart until the 2**20 budget ran
-        # out (exit 5).  Reduced modulo 2 pi once, both routes agree as anywhere.
+        # rounding noise kept the quadrature's estimates from agreeing (exit 5).
+        # Reduced modulo 2 pi once, both routes agree as anywhere.
         assert main(["validate", "--lambda-nm", "1e-9",
                      "--out", str(tmp_path / "v.csv")]) == 0
         assert "worst series/quadrature rate difference" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("folds", ["1", "2", "3"])
+    def test_validate_widens_a_narrow_quadrature_window(self, tmp_path, capsys, folds):
+        # the window is at least sqrt(ln(8 / quad_rel_tol)) = 5.24 folds, so the
+        # Gaussian tail it cuts off stays within the tolerance
+        f = tmp_path / "folds.cfg"
+        f.write_text(f"quad_folds = {folds}\n")
+        assert main(["validate", "--config", str(f), "--out", str(tmp_path / "v.csv")]) == 0
+        worst = re.search(r"rate difference: (\S+)", capsys.readouterr().out).group(1)
+        assert float(worst) <= 1e-12
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("lam", ["1e-300", "1e-12"])

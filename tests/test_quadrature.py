@@ -52,7 +52,7 @@ class TestAmplitude:
         res = amplitude_quadrature(params, standard_filter, 50.0)
         assert 0.0 <= res.error_estimate < 1e-9
         assert res.points >= 64
-        assert len(res.diff_history) >= 1
+        assert len(res.diff_history) == 1
 
 
 class TestCompareMethods:
@@ -71,6 +71,15 @@ class TestCompareMethods:
         grid = np.linspace(-12000.0, 12000.0, 501)
         rep = compare_methods(params, CosinePhaseFilter(10.0, 1000.0), grid)
         assert rep.max_abs_diff <= 1e-8
+
+    @pytest.mark.parametrize("folds", [1.0, 2.0, 3.0])
+    def test_narrow_least_window_meets_the_tolerance(self, params, standard_filter, folds):
+        # the window widens to sqrt(ln(8 / rel_tolerance)) = 5.24 folds: a window
+        # of 1-3 folds alone cuts off erfc(folds), 0.16 to 2.2e-5 of the scale
+        grid = np.linspace(-600.0, 600.0, 2401)
+        rep = compare_methods(params, standard_filter, grid,
+                              QuadratureSettings(halfwidth_folds=folds))
+        assert rep.max_abs_diff <= 1e-12
 
     def test_comparison_grid_covers_lobes(self, params, T):
         filt = CosinePhaseFilter(2.0, 300.0)
@@ -154,20 +163,29 @@ class TestStripBound:
            mod_frequency=st.floats(min_value=0.0, max_value=1000.0),
            first=st.floats(min_value=-1.0, max_value=1.0),
            last=st.floats(min_value=-1.0, max_value=1.0),
-           count=st.integers(min_value=1, max_value=8))
-    @example(depth=10.0, mod_frequency=1000.0, first=-1.0, last=1.0, count=2)
-    @example(depth=0.0, mod_frequency=0.0, first=0.0, last=0.0, count=1)
+           count=st.integers(min_value=1, max_value=8),
+           folds=st.floats(min_value=0.5, max_value=9.0),
+           rel_tolerance=st.floats(min_value=1e-13, max_value=1e-6))
+    @example(depth=10.0, mod_frequency=1000.0, first=-1.0, last=1.0, count=2, folds=6.0,
+             rel_tolerance=1e-11)
+    @example(depth=0.0, mod_frequency=0.0, first=0.0, last=0.0, count=1, folds=6.0,
+             rel_tolerance=1e-11)
+    # a one-fold least window: the tolerance's floor of 5.24 folds sets the window
+    @example(depth=2.0, mod_frequency=50.0, first=-1.0, last=1.0, count=5, folds=1.0,
+             rel_tolerance=1e-11)
     @settings(max_examples=25, deadline=None)
     def test_first_level_passes_and_matches_dense_sum(self, params, T, depth, mod_frequency,
-                                                      first, last, count):
-        # any uniform grid inside the series half-width M beta + 5T
+                                                      first, last, count, folds, rel_tolerance):
+        # any uniform grid inside the series half-width M beta + 5T, any least window
+        # and tolerance: the step's and the window's bounds leave the one check passing
         filt = CosinePhaseFilter(depth, mod_frequency)
         half = series_halfwidth(params, filt, truncation_for(filt))
         taus = np.linspace(first * half, last * half, count)
-        values, _, n, history = _amplitude_grid(params, filt, taus, DEFAULT_SETTINGS)
+        quad = QuadratureSettings(halfwidth_folds=folds, rel_tolerance=rel_tolerance)
+        values, _, n, history = _amplitude_grid(params, filt, taus, quad)
         assert len(history) == 1
-        assert history[0] < DEFAULT_SETTINGS.rel_tolerance
-        dense = dense_trapezoid(params, filt, taus, n, DEFAULT_SETTINGS)
+        assert history[0] < rel_tolerance
+        dense = dense_trapezoid(params, filt, taus, n, quad)
         assert np.max(np.abs(values - dense)) <= 1e-13 * 2.0 * math.sqrt(math.pi) / T
 
     def test_wide_window_memory(self, params):
@@ -197,18 +215,6 @@ class TestUniformGrid:
 
 
 class TestConvergence:
-    def test_refinement_differences_decrease(self, params, monkeypatch):
-        # start deliberately coarse, below the strip bound's 142 intervals, so
-        # several doublings are needed
-        monkeypatch.setattr(quadrature, "_coarse_intervals", lambda *args: 64)
-        filt = CosinePhaseFilter(10.0, 300.0)
-        res = amplitude_quadrature(params, filt, 0.0,
-                                   settings=QuadratureSettings(initial_points=64))
-        assert len(res.diff_history) >= 2
-        diffs = np.array(res.diff_history)
-        assert np.all(np.diff(diffs) < 0)
-        assert diffs[-1] < 1e-11
-
     def test_budget_below_resolution_guard(self, params, standard_filter):
         settings = QuadratureSettings(initial_points=64, max_points=1024)
         with pytest.raises(ConvergenceError):
@@ -222,7 +228,7 @@ class TestConvergence:
         with pytest.raises(ConvergenceError, match="resolving the integrand needs"):
             amplitude_quadrature(params, filt, 0.0, settings=settings)
         # from a too-coarse start (the 296 intervals of the earlier 20-nodes-a-period
-        # guard) the doubling runs out of budget instead
+        # guard) the one halving check fails, and names the worst delay's estimates
         monkeypatch.setattr(quadrature, "_coarse_intervals", lambda *args: 296)
         with pytest.raises(ConvergenceError, match="last estimates"):
             amplitude_quadrature(params, filt, 0.0, settings=settings)
