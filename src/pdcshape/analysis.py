@@ -23,15 +23,16 @@ from .model import (
     _batches,
     characteristic_time,
     comb_rates,
-    require_cells,
+    pump_phase,
     series_halfwidth,
     truncation_for,
+    window_halfcount,
 )
 
 _RATE_TIE = 1e-12  # rates closer than this are treated as tied
 # Checked before anything is allocated; fig2 sweeps 501 modulation frequencies.
 _MAX_SWEEP_STEPS = 100_000
-# Scan-grid delays (2n + 1 a beta) of the betas that sweep_beta searches in
+# Scan-grid delays (2n + 1 a beta) of the betas that _search searches in
 # lockstep at once; a group holds at least one beta.
 _SWEEP_DELAYS = 2**18
 # Filled scan delays evaluated at once: the fills of whole betas, or one beta's
@@ -107,10 +108,8 @@ def _scan_size(params: PhysicalParams, filt: CosinePhaseFilter, trunc: SeriesTru
         search_halfwidth = series_halfwidth(params, filt, trunc)
     if search_halfwidth <= grid_step:
         raise ParameterError("search_halfwidth must exceed grid_step")
-    n = np.ceil(search_halfwidth / grid_step)  # in float: an inf is refused, not converted
-    require_cells(f"the peak scan over +-{search_halfwidth:g} fs in {grid_step:g} fs steps",
-                  2.0 * n + 1.0, trunc, "shrink the search window")
-    return int(n)
+    return window_halfcount("the peak scan", search_halfwidth, grid_step, trunc,
+                            "shrink the search window")
 
 
 def _scan_peak(params: PhysicalParams, trunc: SeriesTruncation, betas: np.ndarray,
@@ -131,8 +130,7 @@ def _scan_peak(params: PhysicalParams, trunc: SeriesTruncation, betas: np.ndarra
     full grid and no more.  The coarse points of every beta are one comb call.
     The fills follow in whole-beta batches of at most _FILL_DELAYS delays; a
     larger fill is a batch of its own, evaluated in _FILL_DELAYS-delay pieces
-    from its own first row, so every beta's comb blocks are those of its
-    search alone.  _pick takes the candidates of all calls in any order.
+    from its own first row.  _pick takes the candidates of all calls in any order.
     """
     T = characteristic_time(params)
     curvature = (4.0 + 4.0 / math.e) * (np.sum(np.abs(trunc.coefficients)) / T) ** 2
@@ -195,11 +193,9 @@ def _peak_search(params: PhysicalParams, trunc: SeriesTruncation, betas: np.ndar
 
     Four phases, each over all betas still searching: _scan_peak's coarse
     scan and its bound and gap fill; each 9-point round; and the parabola
-    vertex.  Every phase evaluates its (beta, delay) rows with comb_rates, one
-    run per beta, so each beta gets the values of its own search: the coarse
-    scan, each round and the vertex in one call, the gap fill in one call per
-    batch or piece.  The tie rule is one segment-wise lexsort per phase.  A
-    pick on the window edge raises a SearchError naming the first such beta.
+    vertex.  Each phase is one comb_rates call, the gap fill one per batch or
+    piece, and one segment-wise lexsort for the tie rule.  A pick on the
+    window edge raises a SearchError naming the first such beta.
     """
     ks = _scan_peak(params, trunc, betas, ns, grid_step)
     edge = np.flatnonzero(np.abs(ks) == ns)
@@ -242,6 +238,38 @@ def _peak_search(params: PhysicalParams, trunc: SeriesTruncation, betas: np.ndar
     return best_x, best_y, hi - lo
 
 
+def _search(params: PhysicalParams, alpha: float, betas: np.ndarray,
+            search_halfwidth: float | None, grid_step: float, refine_tol: float,
+            trunc_tol: float) -> np.ndarray:
+    """find_tau_max at each of betas, as rows tau_max, rate_at_max, refinement_width.
+
+    Every beta is sized before any is searched: in beta order, its scan window
+    (_scan_size) and then its pump twist (pump_phase), the refusals a search
+    meets before it evaluates anything.  So the first refusal is the one a
+    search per beta would meet, and no comb is evaluated before it.  The
+    betas are then searched in lockstep (_peak_search), in consecutive groups
+    whose scan grids sum to at most _SWEEP_DELAYS delays, so memory does not
+    grow with the sweep.  Each beta is a comb_rates run of its own, cut into
+    blocks from its own start, so its values are those of its search alone,
+    bit for bit.
+    """
+    trunc = truncation_for(CosinePhaseFilter(alpha, 0.0), trunc_tol)
+    if not 0 < grid_step <= 1.0:
+        raise ParameterError("grid_step must be in (0, 1] fs")
+    if not 0 < refine_tol <= 0.01:
+        raise ParameterError("refine_tol must be in (0, 0.01] fs")
+    _require_resolution(grid_step, characteristic_time(params))
+    ns = np.empty(betas.size, dtype=np.int64)
+    for i, beta in enumerate(betas.tolist()):
+        ns[i] = _scan_size(params, CosinePhaseFilter(alpha, beta), trunc, search_halfwidth,
+                           grid_step)
+        pump_phase(params, beta, trunc.max_order)
+    found = np.empty((3, betas.size))
+    for p, q in _batches(2 * ns + 1, _SWEEP_DELAYS):
+        found[:, p:q] = _peak_search(params, trunc, betas[p:q], ns[p:q], grid_step, refine_tol)
+    return found
+
+
 def find_tau_max(params: PhysicalParams, filt: CosinePhaseFilter,
                  search_halfwidth: float | None = None, grid_step: float = 0.5,
                  refine_tol: float = 0.01, trunc_tol: float = TRUNC_TOL) -> TauMaxResult:
@@ -259,46 +287,19 @@ def find_tau_max(params: PhysicalParams, filt: CosinePhaseFilter,
     covers every series lobe; if the grid argmax is a window end the window
     was too small and a SearchError is raised.  A grid_step above T/20 cannot
     resolve the rate and raises a ResolutionError.  The series is cut at
-    trunc_tol (truncation_for), as in sweep_beta.
-
-    This is the one-beta case of the lockstep search that sweep_beta runs
-    (_peak_search): the coarse scan, each round and the vertex each take one
-    comb_rates call, and the gap fill one call per _FILL_DELAYS-delay piece.
-    Every call's blocks and matmuls are those of a call for this beta alone,
-    so a sweep's values are this function's, bit for bit.
+    trunc_tol (truncation_for).  This is _search at one beta.
     """
-    trunc = truncation_for(filt, trunc_tol)
-    _check_steps(params, grid_step, refine_tol)
-    n = _scan_size(params, filt, trunc, search_halfwidth, grid_step)
-    tau, rate, width = _peak_search(params, trunc, np.array([filt.mod_frequency]),
-                                    np.array([n]), grid_step, refine_tol)
-    return TauMaxResult(tau_max=float(tau[0]), rate_at_max=float(rate[0]),
-                        refinement_width=float(width[0]))
-
-
-def _check_steps(params: PhysicalParams, grid_step: float, refine_tol: float) -> None:
-    if not 0 < grid_step <= 1.0:
-        raise ParameterError("grid_step must be in (0, 1] fs")
-    if not 0 < refine_tol <= 0.01:
-        raise ParameterError("refine_tol must be in (0, 0.01] fs")
-    _require_resolution(grid_step, characteristic_time(params))
+    tau, rate, width = _search(params, filt.depth, np.array([filt.mod_frequency]),
+                               search_halfwidth, grid_step, refine_tol, trunc_tol)[:, 0]
+    return TauMaxResult(tau_max=float(tau), rate_at_max=float(rate),
+                        refinement_width=float(width))
 
 
 def sweep_beta(params: PhysicalParams, alpha: float, beta_start: float,
                beta_end: float, beta_step: float, *,
                search_halfwidth: float | None = None, grid_step: float = 0.5,
                refine_tol: float = 0.01, trunc_tol: float = TRUNC_TOL) -> SweepResult:
-    """find_tau_max at each modulation frequency in [beta_start, beta_end].
-
-    The betas are searched in lockstep (_peak_search), in consecutive groups
-    whose scan grids (2n + 1 delays each) sum to at most _SWEEP_DELAYS, with at
-    least one beta per group, so memory does not grow with the sweep.  Each
-    phase of a group is one comb_rates call over all its betas' delays,
-    except the gap fill, which goes in whole-beta batches (_scan_peak).  Every
-    beta is a run of its own, cut into blocks from its own start and given one
-    matmul a block, so each value is the one find_tau_max gives.  The first
-    beta that would raise there raises here, a SearchError naming its beta.
-    """
+    """find_tau_max at each modulation frequency in [beta_start, beta_end] (_search)."""
     if not 0 <= beta_start < beta_end:
         raise ParameterError("need 0 <= beta_start < beta_end")
     if beta_step <= 0:
@@ -310,23 +311,8 @@ def sweep_beta(params: PhysicalParams, alpha: float, beta_start: float,
             f"needs over {_MAX_SWEEP_STEPS} points; raise beta_step")
     count = int(math.floor(steps + 1e-9)) + 1
     betas = beta_start + np.arange(count) * beta_step
-    trunc = truncation_for(CosinePhaseFilter(alpha, 0.0), trunc_tol)
-    _check_steps(params, grid_step, refine_tol)
-    ns, refused = [], None
-    for b in betas:
-        try:
-            ns.append(_scan_size(params, CosinePhaseFilter(alpha, float(b)), trunc,
-                                 search_halfwidth, grid_step))
-        except ParameterError as exc:  # raised once the betas before it are searched
-            refused = exc
-            break
-    ns = np.array(ns, dtype=np.int64)
-    tau_maxes, peak_rates = np.empty(count), np.empty(count)
-    for p, q in _batches(2 * ns + 1, _SWEEP_DELAYS):
-        tau_maxes[p:q], peak_rates[p:q], _ = _peak_search(
-            params, trunc, betas[p:q], ns[p:q], grid_step, refine_tol)
-    if refused is not None:
-        raise refused
+    tau_maxes, peak_rates, _ = _search(params, alpha, betas, search_halfwidth, grid_step,
+                                       refine_tol, trunc_tol)
     return SweepResult(beta_values=betas, tau_max_values=tau_maxes, rates=peak_rates)
 
 

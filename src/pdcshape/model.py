@@ -374,6 +374,15 @@ def require_cells(what: str, delays: float, trunc: SeriesTruncation, remedy: str
             f"over the cap of {_MAX_COMB_CELLS}; {remedy}")
 
 
+def window_halfcount(what: str, half: float, step: float, trunc: SeriesTruncation,
+                     remedy: str) -> int:
+    """The n of the symmetric grid k*step, |k| <= n = ceil(half/step), once require_cells
+    passes its 2n + 1 delays; n stays a float until then, so an inf is refused, not converted."""
+    n = np.ceil(half / step)
+    require_cells(f"{what} over +-{half:g} fs in {step:g} fs steps", 2.0 * n + 1.0, trunc, remedy)
+    return int(n)
+
+
 @dataclass
 class CorrelationCurve:
     """Sampled coincidence-rate curve over a tau grid (fs)."""

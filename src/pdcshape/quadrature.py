@@ -40,9 +40,9 @@ from .model import (
     characteristic_time,
     count_rate,
     pump_phase,
-    require_cells,
     series_halfwidth,
     truncation_for,
+    window_halfcount,
 )
 
 #: a chirp-z piece holds up to max(m, _MIN_PIECE) delays for m nodes
@@ -147,7 +147,7 @@ def _coarse_intervals(nu_max: float, T: float, taus: np.ndarray, filt: CosinePha
         if filt.depth:  # depth 0 adds nothing, even where sinh overflows
             growth = growth + filt.depth * np.sinh(filt.mod_frequency * y)
         # the bound holds where 2 pi / h >= ln(1 + 8 e^growth / rel_tolerance) / y
-        log_ratio = np.logaddexp(0.0, growth + math.log(8.0 / settings.rel_tolerance))
+        log_ratio = np.logaddexp(0.0, growth + (math.log(8.0) - math.log(settings.rel_tolerance)))
         count = nu_max / math.pi * float(np.min(log_ratio / y))  # 2 nu_max / h
     need = 2.0 * count
     if count < settings.max_points:  # false for inf and NaN, which ceil cannot take
@@ -362,11 +362,8 @@ def _comparison_halfcount(params: PhysicalParams, filt: CosinePhaseFilter,
                           trunc_tol: float) -> int:
     """n of comparison_grid's 2n + 1 delays; ParameterError if the grid is over the cap."""
     trunc = truncation_for(filt, trunc_tol)
-    half = series_halfwidth(params, filt, trunc)
-    n = np.ceil(half / COMPARISON_SPACING)  # in float: an inf is refused, not converted
-    require_cells(f"the comparison grid over +-{half:g} fs in {COMPARISON_SPACING:g} fs steps",
-                  2.0 * n + 1.0, trunc, "use a shorter correlation time")
-    return int(n)
+    return window_halfcount("the comparison grid", series_halfwidth(params, filt, trunc),
+                            COMPARISON_SPACING, trunc, "use a shorter correlation time")
 
 
 def comparison_grid(params: PhysicalParams, filt: CosinePhaseFilter,

@@ -226,14 +226,30 @@ class TestLockstepSearch:
 
     def test_first_refusal_wins(self, params):
         # at this pump the twist M beta omega0 / 2 overflows from beta ~ 4 fs,
-        # and from 9,000 fs the scan is over the cell cap; the overflow at
-        # 1,000 fs comes first in the sweep, as in a search per beta
+        # and from 9,000 fs the scan is over the cell cap; every beta is checked,
+        # window then twist, before any is searched, so the overflow at 1,000 fs
+        # comes first
         pump = PhysicalParams(1e-12, params.group_velocity, params.beam_param,
                               params.emission_angle, light_speed=1e300)
         with pytest.raises(ParameterError, match="pump twist"):
             sweep_beta(pump, 2.0, 0.0, 9000.0, 1000.0)
         with pytest.raises(ParameterError, match="shrink the search window"):
             sweep_beta(params, 2.0, 9000.0, 9500.0, 100.0)
+
+    def test_refused_before_any_beta_is_searched(self, params, monkeypatch):
+        # the scan is over the cell cap from ~8,934 fs: the betas below it are
+        # not searched first
+        calls = []
+        original = analysis.comb_rates
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(analysis, "comb_rates", counting)
+        with pytest.raises(ParameterError, match="shrink the search window"):
+            sweep_beta(params, 2.0, 8900.0, 8940.0, 1.0)
+        assert calls == []
 
 
 class TestScanBatches:

@@ -1,11 +1,17 @@
+import contextlib
+import io
+import math
 import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdcshape import (ConvergenceError, CosinePhaseFilter, ParameterError, csvio, errors, model,
                       rate_grid)
@@ -23,6 +29,16 @@ def read_lines(path):
 
 def data_rows(path):
     return [ln for ln in read_lines(path) if not ln.startswith("#")][1:]
+
+
+# typical ranges of the flags that reach the peak search, and the extremes each may take
+_FUZZ_FLAGS = {
+    "--alpha": (0.0, 12.0), "--beta": (0.0, 1200.0), "--lambda-nm": (100.0, 1000.0),
+    "--u": (1e8, 3e8), "--eps-perp-um": (20.0, 200.0), "--theta-deg": (5.0, 60.0),
+    "--light-speed": (1e8, 1e9), "--beta-start": (10.0, 60.0), "--beta-end": (40.0, 90.0),
+    "--beta-step": (2.0, 50.0),
+}
+_EXTREMES = [0.0, -0.0, 5e-324, 1e300, -1e300]
 
 
 class TestConfigResolution:
@@ -402,14 +418,21 @@ class TestExitCodes:
         assert err.startswith(message)
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("flags,code,message", [
-        (["--beta", "1e308"], 5, "error: resolving the integrand needs inf intervals"),
+    @pytest.mark.parametrize("flags,config,code,message", [
+        (["--beta", "1e308"], None, 5, "error: resolving the integrand needs inf intervals"),
         # the strip bound's count stays finite here: about 2 |tau| nu_max / pi
-        (["--tau-max", "1e308"], 5, "error: resolving the integrand needs 2.95e+306 intervals"),
-        (["--tau-min=-1e308", "--tau-max", "1e308"], 2,
+        (["--tau-max", "1e308"], None, 5,
+         "error: resolving the integrand needs 2.95e+306 intervals"),
+        (["--tau-min=-1e308", "--tau-max", "1e308"], None, 2,
          "error: tau_max - tau_min must be finite"),
-    ], ids=["beta", "tau-max", "tau-span"])
-    def test_quadrature_overflow_refused(self, tmp_path, capsys, flags, code, message):
+        # 8 / 1e-310 overflows, its logarithm does not: the bound sizes the rule,
+        # and the halving check cannot reach a tolerance below round-off
+        ([], "quad_rel_tol = 1e-310\n", 5, "error: no convergence at 2048 intervals"),
+    ], ids=["beta", "tau-max", "tau-span", "subnormal-tolerance"])
+    def test_quadrature_overflow_refused(self, tmp_path, capsys, flags, config, code, message):
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            flags = [*flags, "--config", str(tmp_path / "run.cfg")]
         assert main(["curve", "--method", "quadrature", "--points", "3", *flags,
                      "--out", str(tmp_path / "x.csv")]) == code
         err = capsys.readouterr().err
@@ -558,6 +581,36 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: the pump twist M*beta*omega0/2 at M = 1, beta = 100 fs")
         assert err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_peak_search_commands_answer_or_refuse(self, tmp_path_factory, data):
+        # tau-max or sweep-beta with 1-3 flags, each a typical value or an extreme
+        # one; a sweep's own range is 48 .. 53 fs in 2 fs steps, and the typical
+        # range values keep an accepted sweep to at most 46 betas
+        out = tmp_path_factory.getbasetemp() / "fuzz.csv"
+        command = data.draw(st.sampled_from([["tau-max"], ["sweep-beta", "--beta-step", "2"]]))
+        flags = data.draw(st.lists(st.sampled_from(sorted(_FUZZ_FLAGS)), min_size=1, max_size=3,
+                                   unique=True))
+        argv = [*command]
+        for flag in flags:
+            lo, hi = _FUZZ_FLAGS[flag]
+            value = data.draw(st.one_of(st.floats(lo, hi), st.sampled_from(_EXTREMES)))
+            argv.append(f"{flag}={value!r}")
+        out.unlink(missing_ok=True)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        start = time.process_time()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([*argv, "--out", str(out)])
+        assert time.process_time() - start < 1.0, argv
+        assert code in (0, 2), argv
+        if code == 2:
+            assert stderr.getvalue().startswith("error: "), argv
+            assert stderr.getvalue().count("\n") == 1, argv
+        else:
+            rates = [float(row.split(",")[2]) for row in data_rows(out)]
+            assert rates and all(math.isfinite(r) and 0.0 <= r <= 1.0 + 1e-9 for r in rates), argv
 
 
 class TestDeterminism:
