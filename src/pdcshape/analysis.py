@@ -32,13 +32,13 @@ from .model import (
 _RATE_TIE = 1e-12  # rates closer than this are treated as tied
 # Checked before anything is allocated; fig2 sweeps 501 modulation frequencies.
 _MAX_SWEEP_STEPS = 100_000
-# Scan-grid delays (2n + 1 a beta) of the betas that _search searches in
-# lockstep at once; a group holds at least one beta.
-_SWEEP_DELAYS = 2**18
-# Filled scan delays evaluated at once: the fills of whole betas, or one beta's
-# fill in pieces this long from its own first row (a multiple of the comb's
-# block, so the pieces keep the blocks of the whole fill).
-_FILL_DELAYS = 2**14
+# Rows of the peak scan held at once, the search's one memory budget, so that
+# memory does not grow with a sweep.  _search takes the betas in consecutive
+# groups whose coarse rows sum to at most this (a group holds at least one
+# beta), and _scan_peak fills in whole-beta batches of at most this many rows;
+# a larger fill goes alone, in pieces this long from its own first row.  A
+# multiple of the comb's block, so the pieces keep the blocks of the whole fill.
+_SCAN_ROWS = 2**13
 
 
 @dataclass
@@ -48,6 +48,12 @@ class TauMaxResult:
     tau_max: float
     rate_at_max: float
     refinement_width: float
+
+
+def _require_increasing(betas: np.ndarray) -> None:
+    """Refuse sweep betas that do not strictly increase (a step below float spacing)."""
+    if np.any(np.diff(betas) <= 0):
+        raise ParameterError("beta_values must be strictly increasing")
 
 
 @dataclass
@@ -64,8 +70,7 @@ class SweepResult:
         self.rates = np.asarray(self.rates, dtype=float)
         if not (self.beta_values.shape == self.tau_max_values.shape == self.rates.shape):
             raise ParameterError("sweep arrays must have equal lengths")
-        if np.any(np.diff(self.beta_values) <= 0):
-            raise ParameterError("beta_values must be strictly increasing")
+        _require_increasing(self.beta_values)
 
 
 @dataclass(frozen=True)
@@ -112,30 +117,34 @@ def _scan_size(params: PhysicalParams, filt: CosinePhaseFilter, trunc: SeriesTru
                             "shrink the search window")
 
 
+def _coarse_grid(T: float, ns: np.ndarray, grid_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """The coarse scan's stride s = max(1, int(min(T / (8 grid_step), 2n))) and row
+    count ceil(2n / s) + 1 (arange(-n, n, s), then n) for each n of ns."""
+    s = np.maximum(1, np.minimum(T / (8.0 * grid_step), 2 * ns).astype(np.int64))
+    return s, (2 * ns + s - 1) // s + 1
+
+
 def _scan_peak(params: PhysicalParams, trunc: SeriesTruncation, betas: np.ndarray,
                ns: np.ndarray, grid_step: float) -> np.ndarray:
     """For each betas[i], the k in [-ns[i], ns[i]] that the tie rule picks
     from the rates at k*grid_step.
 
-    No grid is evaluated whole.  The rate is taken on every s-th point,
-    s = max(1, int(T / (8 grid_step))) but at most 2n, and on both ends, and
-    its curvature is bounded exactly: with C = sum |J_m(depth)| over the kept
-    orders, |A| <= C, |g'| <= sqrt(2/e)/T and |g''| <= 2/T^2 for each
-    Gaussian g, so |d^2 |A|^2 / d tau^2| <= K = (4 + 4/e) C^2 / T^2, and on a
-    coarse gap of width w the rate is at most the larger end rate plus
-    K w^2 / 8.  Only the gaps whose bound reaches the beta's coarse best minus
+    No grid is evaluated whole.  The rate is taken on every s-th point
+    (_coarse_grid) and on both ends, and its curvature is bounded exactly:
+    with C = sum |J_m(depth)| over the kept orders, |A| <= C,
+    |g'| <= sqrt(2/e)/T and |g''| <= 2/T^2 for each Gaussian g, so
+    |d^2 |A|^2 / d tau^2| <= K = (4 + 4/e) C^2 / T^2, and on a coarse gap of
+    width w the rate is at most the larger end rate plus K w^2 / 8.  Only the gaps whose bound reaches the beta's coarse best minus
     two tie margins (one absorbs rounding) are filled in.  Every grid point
     that could win or tie is therefore evaluated, and the pick is the full
     grid's.  Where K is loose (large depth) every gap is filled, which is the
-    full grid and no more.  The coarse points of every beta are one comb call.
-    The fills follow in whole-beta batches of at most _FILL_DELAYS delays; a
-    larger fill is a batch of its own, evaluated in _FILL_DELAYS-delay pieces
-    from its own first row.  _pick takes the candidates of all calls in any order.
+    full grid and no more.  The coarse points of every beta are one comb call,
+    and the fills follow in batches and pieces of at most _SCAN_ROWS rows.
+    _pick takes the candidates of all calls in any order.
     """
     T = characteristic_time(params)
     curvature = (4.0 + 4.0 / math.e) * (np.sum(np.abs(trunc.coefficients)) / T) ** 2
-    s = np.maximum(1, np.minimum(T / (8.0 * grid_step), 2 * ns).astype(np.int64))
-    counts = (2 * ns + s - 1) // s + 1  # arange(-n, n, s), then n
+    s, counts = _coarse_grid(T, ns, grid_step)
     run = np.repeat(np.arange(betas.size), counts)
     ends = np.cumsum(counts)
     ks = (np.arange(run.size) - (ends - counts)[run]) * s[run] - ns[run]
@@ -157,9 +166,9 @@ def _scan_peak(params: PhysicalParams, trunc: SeriesTruncation, betas: np.ndarra
     # of those within a tie of its final best
     keep = rates >= (top - _RATE_TIE)[run]
     cand = [(ks[keep], rates[keep], run[keep])]
-    for p, q in _batches(fills, _FILL_DELAYS):
-        for lo in range(begins[p], ends[q - 1], _FILL_DELAYS):
-            hi = min(lo + _FILL_DELAYS, ends[q - 1])
+    for p, q in _batches(fills, _SCAN_ROWS):
+        for lo in range(begins[p], ends[q - 1], _SCAN_ROWS):
+            hi = min(lo + _SCAN_ROWS, ends[q - 1])
             row = np.arange(lo, hi)
             k = gap_first[np.searchsorted(gap_ends, row, side="right")] + row
             counts = np.minimum(ends[p:q], hi) - np.maximum(begins[p:q], lo)
@@ -247,9 +256,8 @@ def _search(params: PhysicalParams, alpha: float, betas: np.ndarray,
     (_scan_size) and then its pump twist (pump_phase), the refusals a search
     meets before it evaluates anything.  So the first refusal is the one a
     search per beta would meet, and no comb is evaluated before it.  The
-    betas are then searched in lockstep (_peak_search), in consecutive groups
-    whose scan grids sum to at most _SWEEP_DELAYS delays, so memory does not
-    grow with the sweep.  Each beta is a comb_rates run of its own, cut into
+    betas are then searched in lockstep (_peak_search), in the consecutive
+    groups of _SCAN_ROWS.  Each beta is a comb_rates run of its own, cut into
     blocks from its own start, so its values are those of its search alone,
     bit for bit.
     """
@@ -258,14 +266,15 @@ def _search(params: PhysicalParams, alpha: float, betas: np.ndarray,
         raise ParameterError("grid_step must be in (0, 1] fs")
     if not 0 < refine_tol <= 0.01:
         raise ParameterError("refine_tol must be in (0, 0.01] fs")
-    _require_resolution(grid_step, characteristic_time(params))
+    T = characteristic_time(params)
+    _require_resolution(grid_step, T)
     ns = np.empty(betas.size, dtype=np.int64)
     for i, beta in enumerate(betas.tolist()):
         ns[i] = _scan_size(params, CosinePhaseFilter(alpha, beta), trunc, search_halfwidth,
                            grid_step)
         pump_phase(params, beta, trunc.max_order)
     found = np.empty((3, betas.size))
-    for p, q in _batches(2 * ns + 1, _SWEEP_DELAYS):
+    for p, q in _batches(_coarse_grid(T, ns, grid_step)[1], _SCAN_ROWS):
         found[:, p:q] = _peak_search(params, trunc, betas[p:q], ns[p:q], grid_step, refine_tol)
     return found
 
@@ -311,6 +320,7 @@ def sweep_beta(params: PhysicalParams, alpha: float, beta_start: float,
             f"needs over {_MAX_SWEEP_STEPS} points; raise beta_step")
     count = int(math.floor(steps + 1e-9)) + 1
     betas = beta_start + np.arange(count) * beta_step
+    _require_increasing(betas)
     tau_maxes, peak_rates, _ = _search(params, alpha, betas, search_halfwidth, grid_step,
                                        refine_tol, trunc_tol)
     return SweepResult(beta_values=betas, tau_max_values=tau_maxes, rates=peak_rates)

@@ -156,9 +156,9 @@ class TestPrunedScan:
         assert peak < 10_000_000
 
     # the fill evaluated whole, and in comb blocks spread over several calls
-    @pytest.mark.parametrize("fill_delays", [analysis._FILL_DELAYS, _TAU_BLOCK])
-    def test_several_betas_in_one_scan(self, params, T, monkeypatch, fill_delays):
-        monkeypatch.setattr(analysis, "_FILL_DELAYS", fill_delays)
+    @pytest.mark.parametrize("scan_rows", [analysis._SCAN_ROWS, _TAU_BLOCK])
+    def test_several_betas_in_one_scan(self, params, T, monkeypatch, scan_rows):
+        monkeypatch.setattr(analysis, "_SCAN_ROWS", scan_rows)
         trunc = truncation_for(CosinePhaseFilter(6.0, 0.0))
         betas = np.array([0.0, 48.5, 53.0, 300.0, 750.0])
         ns = np.array([math.ceil((trunc.max_order * b + 5.0 * T) / 0.5) for b in betas])
@@ -196,15 +196,15 @@ class TestLockstepSearch:
                            st.tuples(st.floats(5.0, 10.0), st.floats(300.0, 990.0))),
            count=st.integers(1, 3), beta_step=st.sampled_from([0.05, 0.5, 5.0]),
            grid_step=st.sampled_from([0.25, 0.5]), refine_tol=st.sampled_from([0.005, 0.01]),
-           fill_delays=st.sampled_from([_TAU_BLOCK, 2**14]))
+           scan_rows=st.sampled_from([_TAU_BLOCK, analysis._SCAN_ROWS]))
     def test_bit_equal_to_looped_search(self, params, start, count, beta_step, grid_step,
-                                        refine_tol, fill_delays):
+                                        refine_tol, scan_rows):
         depth, beta = start
         trunc = truncation_for(CosinePhaseFilter(depth, 0.0))
         betas = beta + np.arange(count) * beta_step
         ns = self.windows(params, trunc, betas, grid_step)
         expected = looped_sweep(params, trunc, betas, ns, grid_step, refine_tol)
-        with mock.patch.object(analysis, "_FILL_DELAYS", fill_delays):
+        with mock.patch.object(analysis, "_SCAN_ROWS", scan_rows):
             got = _peak_search(params, trunc, betas, ns, grid_step, refine_tol)
         for want, have in zip(expected, got):
             assert np.array_equal(want, have)
@@ -213,16 +213,45 @@ class TestLockstepSearch:
                                refine_tol=refine_tol)
             assert [res.tau_max, res.rate_at_max, res.refinement_width] == expected[:, i].tolist()
 
-    # one beta a group, and the default groups
-    @pytest.mark.parametrize("group", [1, analysis._SWEEP_DELAYS])
-    def test_sweep_groups_match_looped_search(self, params, monkeypatch, group):
-        monkeypatch.setattr(analysis, "_SWEEP_DELAYS", group)
+    # one beta a group (each beta holds 663 coarse rows), and the default groups
+    @pytest.mark.parametrize("scan_rows", [_TAU_BLOCK, analysis._SCAN_ROWS])
+    def test_sweep_groups_match_looped_search(self, params, monkeypatch, scan_rows):
+        monkeypatch.setattr(analysis, "_SCAN_ROWS", scan_rows)
         sweep = sweep_beta(params, 10.0, 300.0, 301.0, 0.5)
         trunc = truncation_for(CosinePhaseFilter(10.0, 0.0))
         ns = self.windows(params, trunc, sweep.beta_values, 0.5)
         expected = looped_sweep(params, trunc, sweep.beta_values, ns, 0.5, 0.01)
         assert np.array_equal(sweep.tau_max_values, expected[0])
         assert np.array_equal(sweep.rates, expected[1])
+
+    # the default groups of fig2's sweep, and many tiny-window betas a group
+    @pytest.mark.parametrize("alpha,start,end,step,halfwidth,scan_rows", [
+        (2.0, 48.0, 53.0, 0.01, None, analysis._SCAN_ROWS),
+        (0.0, 0.0, 20.0, 0.01, 1.0, _TAU_BLOCK),
+    ], ids=["fig2", "tiny-window"])
+    def test_sweep_groups_fill_the_row_budget(self, params, monkeypatch, alpha, start, end,
+                                              step, halfwidth, scan_rows):
+        monkeypatch.setattr(analysis, "_SCAN_ROWS", scan_rows)
+        groups, rows = [], []  # each group's betas, and the rows of its coarse scan
+        search, rates = analysis._peak_search, analysis.comb_rates
+
+        def grouping(params, trunc, betas, *args):
+            groups.append(betas.tolist())
+            return search(params, trunc, betas, *args)
+
+        def coarse(params, trunc, betas, counts, taus):
+            if len(rows) < len(groups):  # the group's first comb call
+                rows.append(np.asarray(counts).tolist())
+            return rates(params, trunc, betas, counts, taus)
+
+        monkeypatch.setattr(analysis, "_peak_search", grouping)
+        monkeypatch.setattr(analysis, "comb_rates", coarse)
+        sweep = sweep_beta(params, alpha, start, end, step, search_halfwidth=halfwidth)
+        assert [b for betas in groups for b in betas] == sweep.beta_values.tolist()
+        for i, (betas, held) in enumerate(zip(groups, rows)):
+            assert sum(held) <= scan_rows or len(betas) == 1, (betas[0], held)
+            if i + 1 < len(groups):  # the next beta did not fit
+                assert sum(held) + rows[i + 1][0] > scan_rows, (betas[0], held)
 
     def test_first_refusal_wins(self, params):
         # at this pump the twist M beta omega0 / 2 overflows from beta ~ 4 fs,
@@ -271,7 +300,7 @@ class TestScanBatches:
             assert perm[_pick(seg[perm], x[perm], y[perm], 6)].tolist() == want.tolist()
 
     def test_fill_pieces_start_from_their_beta(self, params, monkeypatch):
-        # at depth 10 the fills of betas 300 and 301 exceed _FILL_DELAYS: each
+        # at depth 10 the fills of betas 300 and 301 exceed _SCAN_ROWS: each
         # goes alone, in pieces counted from its own first fill row
         calls = []
         original = analysis.comb_rates
@@ -290,11 +319,11 @@ class TestScanBatches:
         for call_betas, counts in fills:
             for b, c in zip(call_betas, counts):
                 total[b] += c
-        assert total[300.0] > analysis._FILL_DELAYS and total[301.0] > analysis._FILL_DELAYS
+        assert total[300.0] > analysis._SCAN_ROWS and total[301.0] > analysis._SCAN_ROWS
         done = {b: 0 for b in betas.tolist()}
         for call_betas, counts in fills:
             whole = all(c == total[b] for b, c in zip(call_betas, counts))
-            piece = len(call_betas) == 1 and done[call_betas[0]] % analysis._FILL_DELAYS == 0
+            piece = len(call_betas) == 1 and done[call_betas[0]] % analysis._SCAN_ROWS == 0
             assert whole or piece, (call_betas, counts)
             for b, c in zip(call_betas, counts):
                 done[b] += c
@@ -303,7 +332,7 @@ class TestScanBatches:
 
     def test_fill_pieces_are_whole_comb_blocks(self):
         # so a fill split into pieces keeps the comb blocks of the unsplit fill
-        assert analysis._FILL_DELAYS % _TAU_BLOCK == 0
+        assert analysis._SCAN_ROWS % _TAU_BLOCK == 0
 
 
 class TestSweep:
@@ -365,6 +394,20 @@ class TestSweep:
             finally:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) < 500_000
+
+    def test_unincreasing_betas_refused_before_any_search(self, params, monkeypatch):
+        # steps of 0.01 fs below the float spacing (2 fs) at 1e16 fs repeat betas
+        calls = []
+        original = analysis.comb_rates
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(analysis, "comb_rates", counting)
+        with pytest.raises(ParameterError, match="beta_values must be strictly increasing"):
+            sweep_beta(params, 2.0, 1e16, 1e16 + 8.0, 0.01, search_halfwidth=1000.0)
+        assert calls == []
 
     def test_search_error_carries_offending_beta(self, params):
         with pytest.raises(SearchError, match="mod_frequency 999"):

@@ -39,6 +39,11 @@ _FUZZ_FLAGS = {
     "--beta-step": (2.0, 50.0),
 }
 _EXTREMES = [0.0, -0.0, 5e-324, 1e300, -1e300]
+# the curve commands draw from the model flags, and from both ends of a delay window
+_MODEL_FLAGS = ["--alpha", "--beta", "--lambda-nm", "--u", "--eps-perp-um", "--theta-deg",
+                "--light-speed"]
+_CURVE_COMMANDS = [[name, "--method", method] for name in ("curve", "lobes")
+                   for method in ("series", "quadrature")] + [["validate"]]
 
 
 class TestConfigResolution:
@@ -611,6 +616,40 @@ class TestExitCodes:
         else:
             rates = [float(row.split(",")[2]) for row in data_rows(out)]
             assert rates and all(math.isfinite(r) and 0.0 <= r <= 1.0 + 1e-9 for r in rates), argv
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_curve_commands_answer_or_refuse(self, tmp_path_factory, data):
+        # curve or lobes by either method, or validate, with 1-3 model flags and a
+        # delay window, each value typical or extreme
+        out = tmp_path_factory.getbasetemp() / "fuzz_curve.csv"
+        argv = list(data.draw(st.sampled_from(_CURVE_COMMANDS)))
+        if argv[0] != "validate":
+            argv.append(f"--points={data.draw(st.sampled_from([2, 3, 11, 101]))}")
+        flags = data.draw(st.lists(st.sampled_from(_MODEL_FLAGS), min_size=1, max_size=3,
+                                   unique=True))
+        extreme = st.sampled_from([*_EXTREMES, 1e-300])
+        for flag in flags:
+            lo, hi = _FUZZ_FLAGS[flag]
+            argv.append(f"{flag}={data.draw(st.one_of(st.floats(lo, hi), extreme))!r}")
+        for flag, lo, hi in (("--tau-min", -5000.0, -1.0), ("--tau-max", 1.0, 5000.0)):
+            argv.append(f"{flag}={data.draw(st.one_of(st.floats(lo, hi), extreme))!r}")
+        out.unlink(missing_ok=True)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        start = time.process_time()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([*argv, "--out", str(out)])
+        assert time.process_time() - start < 1.0, argv
+        assert code in (0, 2, 3, 5), argv
+        if code in (2, 5):
+            assert stderr.getvalue().startswith("error: "), argv
+            assert stderr.getvalue().count("\n") == 1, argv
+        elif code == 0 and argv[0] != "validate":
+            # a curve's rates, or the lobes' heights (a 2-point curve has none)
+            rates = [float(row.split(",")[1]) for row in data_rows(out)]
+            assert rates or argv[0] == "lobes", argv
+            assert all(math.isfinite(r) and 0.0 <= r <= 1.0 + 1e-9 for r in rates), argv
 
 
 class TestDeterminism:
