@@ -51,11 +51,9 @@ _TAU_BLOCK = 1024
 # of the benchmark's series workload by ~1 ulp.
 _LOBE_REACH = 28.0
 # exp(-s^2) is subnormal for s^2 > _FLUSH = -ln(smallest normal) ~ 708.4, where
-# numpy's exp (over 100 ns a cell, against ~1 ns) and BLAS both take a slow path.
-# amplitude_comb flushes those cells to 0.0 and repairs a batch when a row it
-# flushed has an amplitude component below _REPAIR_BELOW.
+# numpy's exp (over 100 ns a cell, against ~1 ns) and BLAS both take a slow path;
+# amplitude_comb flushes those cells to 0.0.
 _FLUSH = -math.log(sys.float_info.min)
-_REPAIR_BELOW = 2.0**-900
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -270,16 +268,16 @@ def amplitude_comb(params: PhysicalParams, trunc: SeriesTruncation, betas, count
     alone.  The pump twist exp(i m theta) is formed here only, from
     pump_phase's reduced theta, which refuses an M theta that is not finite.
 
-    Flush and repair: a cell with s^2 > _FLUSH, whose exp(-s^2) is subnormal,
-    reads 0.0 (exp(-inf)), so neither exp nor the matmul meets a subnormal.
-    The cells go straight into the real parts of one complex work buffer
-    whose imaginary parts are 0, so no matmul casts its block.  A flushed
-    term is below 2^-1022 and a row holds at most 2,001, so a component of at
-    least _REPAIR_BELOW = 2^-900 (its ulp is at least 2^-952) absorbs them,
-    barring an exact round-half tie in a partial sum.  A batch with a row that
-    held a flushed cell and has a smaller component is evaluated again, whole
-    and unflushed (a lone row's matmul would take numpy's dot path and other
-    bits).  So every amplitude is bit for bit the unflushed comb's.
+    Flush: a cell with s^2 > _FLUSH, whose exp(-s^2) is subnormal, reads 0.0
+    (exp(-inf)), so neither exp nor the matmul meets a subnormal.  The cells
+    go straight into the real parts of one complex work buffer whose
+    imaginary parts are 0, so no matmul casts its block.  A flushed term is
+    below 2^-1022 with |J_m| <= 1, and a row holds at most 2,001, so the flush
+    moves each amplitude component by under 2^-1011.  A nonzero rate needs a
+    component of at least 2^-538, which absorbs that (a component under
+    2^-900 beside it moves |A| by a relative 2^-724 at most), so every rate
+    is bit for bit the unflushed comb's, barring an exact round-half tie in
+    a partial sum.
     """
     T = characteristic_time(params)
     m, reach = trunc.max_order, _LOBE_REACH * T
@@ -315,34 +313,23 @@ def amplitude_comb(params: PhysicalParams, trunc: SeriesTruncation, betas, count
         rows, cols = hi - lo, int(width[i:j].max())
         g, cells = (x[:rows * cols].reshape(rows, cols) for x in (s2, work))
         coeff = trunc.coefficients * np.exp(1j * trunc.orders * thetas[r0:run[j - 1] + 1, None])
-        blocks = list(zip(*(x[i:j].tolist() for x in (start, stop, run, first, width))))
-        for flush in (True, False):
-            with np.errstate(over="ignore"):
-                centres = (first[i:j, None] + np.arange(cols)) * b[i:j, None]
-                if j - i > 1:  # one block's row of centres broadcasts; several blocks' repeat
-                    centres = np.repeat(centres, stop[i:j] - start[i:j], axis=0)
-                np.subtract(taus[lo:hi, None], centres, out=g)
-                g /= T
-                np.multiply(g, g, out=g)
-            np.negative(g, out=g)  # -s * s
-            # exp(-inf) writes the exact 0.0 where exp(-s * s) would be subnormal;
-            # a batch with no such cell (or a NaN minimum) is not flushed
-            far = g < -_FLUSH if flush and g.min(initial=0.0) < -_FLUSH else None
-            if far is not None:
-                g[far] = -np.inf
-            np.exp(g, out=cells.real)
-            for s0, s1, r, a, w in blocks:
-                np.matmul(cells[s0 - lo:s1 - lo, :w], coeff[r - r0, a + m:a + m + w],
-                          out=out[s0:s1])
-            if far is None or not _flushed_into_small(out[lo:hi], far):
-                break
+        with np.errstate(over="ignore"):
+            centres = (first[i:j, None] + np.arange(cols)) * b[i:j, None]
+            if j - i > 1:  # one block's row of centres broadcasts; several blocks' repeat
+                centres = np.repeat(centres, stop[i:j] - start[i:j], axis=0)
+            np.subtract(taus[lo:hi, None], centres, out=g)
+            g /= T
+            np.multiply(g, g, out=g)
+        np.negative(g, out=g)  # -s * s
+        # exp(-inf) writes the exact 0.0 where exp(-s * s) would be subnormal;
+        # a batch with no such cell (or a NaN minimum) is not flushed
+        if g.min(initial=0.0) < -_FLUSH:
+            g[g < -_FLUSH] = -np.inf
+        np.exp(g, out=cells.real)
+        for s0, s1, r, a, w in zip(*(x[i:j].tolist() for x in (start, stop, run, first, width))):
+            np.matmul(cells[s0 - lo:s1 - lo, :w], coeff[r - r0, a + m:a + m + w],
+                      out=out[s0:s1])
     return out
-
-
-def _flushed_into_small(amps: np.ndarray, far: np.ndarray) -> bool:
-    """Whether a row with a flushed cell has an amplitude component below _REPAIR_BELOW."""
-    small = np.abs(amps.view(float)) < _REPAIR_BELOW
-    return bool(small.any() and far[small.reshape(-1, 2).any(axis=1)].any())
 
 
 def comb_rates(params: PhysicalParams, trunc: SeriesTruncation, betas, counts,

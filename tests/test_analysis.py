@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -598,3 +599,56 @@ class TestTotalIntegral:
         curve = sample_curve(params, standard_filter, np.array([0.0]))
         with pytest.raises(ParameterError, match="total integral requires at least 2 delays"):
             total_coincidence_integral(curve)
+
+
+def at_pump_frequency(params, omega0):
+    """params with the pump wavelength whose angular frequency is omega0 (rad/fs)."""
+    return dataclasses.replace(params, pump_wavelength=2.0 * math.pi * params.light_speed
+                               / (omega0 * 1e6))
+
+
+class TestMetamorphic:
+    """Relations between runs of either route; theta = beta omega0 / 2 is moved
+    by choosing the pump wavelength."""
+
+    filters = pytest.mark.parametrize("alpha,beta", [(2.0, 50.0), (10.0, 300.0), (5.0, 53.0),
+                                                     (1.0, 1000.0)])
+    methods = pytest.mark.parametrize("method", ["series", "quadrature"])
+
+    @staticmethod
+    def rates(params, alpha, beta, method):
+        half = 40.0 * beta + 1500.0
+        return sample_curve(params, CosinePhaseFilter(alpha, beta),
+                            np.linspace(-half, half, 2001), method=method).rates
+
+    @methods
+    @filters
+    def test_reversed_delays_negate_the_pump_phase(self, params, method, alpha, beta):
+        # rate(-tau; theta) = rate(tau; -theta): theta' = 2 pi k - theta, k > theta / 2 pi
+        omega0 = model.pump_angular_frequency(params)
+        k = math.ceil(beta * omega0 / (4.0 * math.pi)) + 1
+        flipped = at_pump_frequency(params, 4.0 * math.pi * k / beta - omega0)
+        np.testing.assert_allclose(self.rates(flipped, alpha, beta, method),
+                                   self.rates(params, alpha, beta, method)[::-1],
+                                   rtol=0.0, atol=1e-12)
+
+    @methods
+    @filters
+    def test_pump_phase_is_periodic(self, params, method, alpha, beta):
+        # theta -> theta + 2 pi leaves every rate unchanged
+        turned = at_pump_frequency(params, model.pump_angular_frequency(params)
+                                   + 4.0 * math.pi / beta)
+        np.testing.assert_allclose(self.rates(turned, alpha, beta, method),
+                                   self.rates(params, alpha, beta, method), rtol=0.0, atol=1e-12)
+
+    @methods
+    @settings(max_examples=20, deadline=None)
+    @given(alpha=st.floats(0.0, 20.0), beta=st.floats(0.0, 1000.0))
+    def test_random_filters_conserve_the_integral(self, params, T, method, alpha, beta):
+        # a phase-only filter keeps the integral T sqrt(pi/2); the series' own
+        # truncation may move it by up to trunc_tol = 1e-12 relative
+        filt = CosinePhaseFilter(alpha, beta)
+        half = model.series_halfwidth(params, filt, truncation_for(filt)) + 2.0 * T
+        curve = sample_curve(params, filt, uniform_grid(half, T / 8.0), method=method)
+        assert total_coincidence_integral(curve) == pytest.approx(T * math.sqrt(math.pi / 2.0),
+                                                                  rel=1e-12)

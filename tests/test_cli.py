@@ -44,6 +44,30 @@ _MODEL_FLAGS = ["--alpha", "--beta", "--lambda-nm", "--u", "--eps-perp-um", "--t
                 "--light-speed"]
 _CURVE_COMMANDS = [[name, "--method", method] for name in ("curve", "lobes")
                    for method in ("series", "quadrature")] + [["validate"]]
+# config keys of the search, the lobes and the quadrature: a typical value, or
+# an extreme one (an over-range value, and none where the key allows it)
+_KEY_EXTREMES = [5e-324, 1e-300, 1e300]
+_CONFIG_KEYS = {
+    "trunc_tol": (st.floats(1e-14, 1e-6), [*_KEY_EXTREMES, 0.5]),
+    "refine_tol": (st.floats(1e-4, 0.01), [*_KEY_EXTREMES, 0.5]),
+    "grid_step": (st.floats(0.1, 1.0), [*_KEY_EXTREMES, 5.0]),
+    "search_halfwidth": (st.floats(200.0, 3000.0), [*_KEY_EXTREMES, "none"]),
+    "min_lobe_height": (st.floats(0.0, 1.0), [*_KEY_EXTREMES, "none", 2.0]),
+    "quad_folds": (st.floats(3.0, 9.0), [*_KEY_EXTREMES, 0.0]),
+    "quad_initial_points": (st.sampled_from([64, 1024]), [*_KEY_EXTREMES, 32]),
+    "quad_max_points": (st.sampled_from([2**16, 2**20]), [*_KEY_EXTREMES, 2**25]),
+    "quad_rel_tol": (st.floats(1e-13, 1e-6), [*_KEY_EXTREMES, 1e-3]),
+}
+# each command, and the columns of its rates or lobe heights
+_CONFIG_COMMANDS = [
+    (["tau-max", "--beta", "50"], [2]),
+    (["sweep-beta", "--beta-start", "50", "--beta-end", "52", "--beta-step", "0.5"], [2]),
+    (["lobes", "--points", "401", "--method", "series"], [1]),
+    (["lobes", "--points", "401", "--method", "quadrature"], [1]),
+    (["curve", "--method", "quadrature", "--points", "11"], [1]),
+    (["fig3", "--points", "201"], [1, 2, 3]),
+    (["params"], []),
+]
 
 
 class TestConfigResolution:
@@ -650,6 +674,42 @@ class TestExitCodes:
             rates = [float(row.split(",")[1]) for row in data_rows(out)]
             assert rates or argv[0] == "lobes", argv
             assert all(math.isfinite(r) and 0.0 <= r <= 1.0 + 1e-9 for r in rates), argv
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_config_keys_answer_or_refuse(self, tmp_path_factory, data):
+        # a config file of 1-3 search, lobe and quadrature keys, each value
+        # typical or extreme, read by one of six commands
+        base = tmp_path_factory.getbasetemp()
+        cfg, out = base / "fuzz_keys.cfg", base / "fuzz_keys.csv"
+        argv, columns = data.draw(st.sampled_from(_CONFIG_COMMANDS))
+        keys = data.draw(st.lists(st.sampled_from(sorted(_CONFIG_KEYS)), min_size=1, max_size=3,
+                                  unique=True))
+        lines = []
+        for key in keys:
+            typical, extremes = _CONFIG_KEYS[key]
+            value = data.draw(st.one_of(typical, st.sampled_from(extremes)))
+            lines.append(f"{key} = {value}")
+        cfg.write_text("\n".join(lines) + "\n")
+        written = [out] if argv[0] != "fig3" else [out.with_name(f"fuzz_keys_beta{b}.csv")
+                                                   for b in (50, 53)]
+        for path in written:
+            path.unlink(missing_ok=True)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        start = time.process_time()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([*argv, "--config", str(cfg), "--out", str(out)])
+        assert time.process_time() - start < 1.0, (argv, lines)
+        assert code in (0, 2, 5), (argv, lines)
+        if code in (2, 5):
+            assert stderr.getvalue().startswith("error: "), (argv, lines)
+            assert stderr.getvalue().count("\n") == 1, (argv, lines)
+        else:
+            for path in written:
+                rates = [float(row.split(",")[c]) for row in data_rows(path) for c in columns]
+                assert all(math.isfinite(r) and 0.0 <= r <= 1.0 + 1e-9 for r in rates), (argv,
+                                                                                         lines)
 
 
 class TestDeterminism:

@@ -20,7 +20,8 @@ from pdcshape import (
     sample_curve,
     truncation_for,
 )
-from pdcshape.model import _FLUSH, _TAU_BLOCK, amplitude_comb, series_halfwidth
+from pdcshape import model
+from pdcshape.model import _FLUSH, _TAU_BLOCK, amplitude_comb, comb_rates, series_halfwidth
 from pdcshape.quadrature import VALIDATION_DEPTHS
 
 
@@ -234,7 +235,8 @@ class TestBlockedComb:
         got = one_run(params, filt, trunc, tau)
         want = dense_comb(params, filt, trunc, tau)
         assert np.shape(got) == np.shape(tau)
-        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        # atol: the flush moves an amplitude component by under 2^-1011
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=2.0**-1011)
         rate = count_rate(params, filt, trunc, tau)  # scalar in, scalar out
         assert isinstance(rate, float) if np.ndim(tau) == 0 else np.shape(rate) == np.shape(tau)
 
@@ -280,19 +282,9 @@ class TestBlockedComb:
         s = np.linspace(26.65, 27.29, 300)
         return characteristic_time(params) * np.concatenate([-s[::-1], s])
 
-    @pytest.mark.parametrize("depth", [2.0, 10.0])
-    def test_flushed_rows_are_repaired(self, params, depth):
-        filt = CosinePhaseFilter(depth, 0.0)
-        trunc = truncation_for(filt)
-        taus = self.subnormal_delays(params)
-        got = one_run(params, filt, trunc, taus)
-        want = dense_comb(params, filt, trunc, taus)
-        assert np.all(np.abs(want) < np.finfo(float).tiny) and np.count_nonzero(want) > 500
-        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
-
-    def test_repaired_run_shares_a_batch(self, params):
-        # the repair redoes the whole batch, so the normal runs beside the
-        # subnormal one are evaluated again unflushed; all read their lone values
+    def test_flushed_run_shares_a_batch(self, params):
+        # a subnormal run, every cell of it flushed, shares one exp with two
+        # normal runs; each still reads its lone values
         trunc = truncation_for(CosinePhaseFilter(10.0, 0.0))
         rng = np.random.default_rng(8)
         betas = [300.0, 0.0, 713.0]
@@ -302,8 +294,36 @@ class TestBlockedComb:
         got = amplitude_comb(params, trunc, betas, [r.size for r in runs], np.concatenate(runs))
         want = [one_run(params, CosinePhaseFilter(10.0, b), trunc, r)
                 for b, r in zip(betas, runs)]
-        assert np.count_nonzero(want[1]) > 500
         assert np.array_equal(got, np.concatenate(want))
+
+    @pytest.mark.parametrize("case", ["subnormal-2", "subnormal-10", "shared-batch", "tau12",
+                                      "neighbour-lobe"])
+    def test_flush_moves_no_rate(self, params, monkeypatch, case):
+        # the reference is the same comb with the flush off: every rate is bit
+        # for bit its own, amplitude components of at least 2^-900 are too, and
+        # every component is within 2^-1011 of it
+        depth, betas, runs = 10.0, [0.0], [self.subnormal_delays(params)]
+        if case == "subnormal-2":
+            depth = 2.0
+        elif case == "shared-batch":
+            rng = np.random.default_rng(8)
+            betas = [300.0, 0.0, 713.0]
+            runs = [rng.uniform(-3000, 3000, 150), runs[0], rng.uniform(-3000, 3000, 200)]
+        elif case == "tau12":  # test_matches_dense_comb's draw
+            betas, runs = [1000.0], [np.random.default_rng(6).uniform(-40000, 40000, 3000)]
+        elif case == "neighbour-lobe":  # every rate nonzero; rows reach a flushed lobe
+            beta = 27.0 * characteristic_time(params)
+            depth, betas, runs = 2.0, [beta], [np.linspace(-3.5 * beta, 3.5 * beta, 4001)]
+        trunc = truncation_for(CosinePhaseFilter(depth, 0.0))
+        args = (params, trunc, betas, [r.size for r in runs], np.concatenate(runs))
+        got, got_rates = amplitude_comb(*args), comb_rates(*args)
+        monkeypatch.setattr(model, "_FLUSH", np.inf)
+        want, want_rates = amplitude_comb(*args), comb_rates(*args)
+        assert np.array_equal(got_rates, want_rates)
+        got, want = got.view(float), want.view(float)
+        large = np.abs(want) >= 2.0**-900
+        assert np.array_equal(got[large], want[large])
+        assert np.all(np.abs(got - want) <= 2.0**-1011)
 
     def test_numpy_exp_at_the_flush_threshold(self):
         # the flush marks exactly the cells whose exp(-s^2) is subnormal and
