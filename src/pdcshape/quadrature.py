@@ -50,7 +50,7 @@ _MIN_PIECE = 8192
 #: y T of the strip bound's trial lines Im nu = y (_coarse_intervals)
 _STRIP_YT = np.geomspace(1e-6, 50.0, 48)
 #: how far a delay may sit off its lattice point, in units of eps (|tau_0| + |tau_last|):
-#: about 4-8 ulps of the grid's largest delay
+#: about 4-8 ulps of the grid's largest delay (_lattice_spacing floors it for subnormals)
 _LATTICE_EPS = 4.0
 
 #: (depth, mod_frequency/fs) grid exercised by the `validate` command.
@@ -201,34 +201,35 @@ def _chirp(alpha: tuple[float, float], n: np.ndarray) -> np.ndarray:
     return np.exp(1j * hi) * (1.0 + 1j * lo)
 
 
-def _check_uniform(taus: np.ndarray) -> None:
-    """ParameterError unless the delays form a uniform grid.
+def _lattice_spacing(taus: np.ndarray) -> float:
+    """The delays' spacing, from the end points; ParameterError unless it is uniform.
 
-    The spacing is taken from the end points, and every delay must lie within
-    _LATTICE_EPS * eps * (|taus[0]| + |taus[-1]|) of its lattice point
-    taus[0] + k spacing: linspace (within 2 of those units), arange times a
-    step (exact) and single delays pass.
+    Each delay must lie within _LATTICE_EPS * max(eps (|taus[0]| + |taus[-1]|),
+    (n - 1) smallest subnormals) of taus[0] + k spacing: 1 or 2 delays, arange times a
+    step and every linspace pass, though n - 1 subnormal steps drift (n - 1) / 2 of them.
     """
-    if taus.size < 3:
-        return
-    spacing = (taus[-1] - taus[0]) / (taus.size - 1)
-    off = np.abs(taus - (taus[0] + spacing * np.arange(taus.size)))
-    bound = _LATTICE_EPS * np.finfo(float).eps * (abs(taus[0]) + abs(taus[-1]))
-    k = int(np.argmax(off))
-    if off[k] > bound:
-        raise ParameterError(
-            f"the quadrature route needs a uniform delay grid: tau[{k}] = {taus[k]!r} fs lies "
-            f"{off[k]:.3g} fs off the lattice {taus[0]!r} + k * {spacing!r} fs")
+    n = taus.size
+    spacing = float(taus[-1] - taus[0]) / (n - 1) if n > 1 else 0.0
+    if n > 2:
+        off = np.abs(taus - (taus[0] + spacing * np.arange(n)))
+        bound = _LATTICE_EPS * max(np.finfo(float).eps * (abs(taus[0]) + abs(taus[-1])),
+                                   (n - 1) * np.finfo(float).smallest_subnormal)
+        k = int(np.argmax(off))
+        if off[k] > bound:
+            raise ParameterError(
+                f"the quadrature route needs a uniform delay grid: tau[{k}] = {float(taus[k])!r} "
+                f"fs lies {off[k]:.3g} fs off the lattice {float(taus[0])!r} + k * {spacing!r} fs")
+    return spacing
 
 
-def _chirp_z(taus: np.ndarray, step: float, m: int):
-    """The sum over m nodes step apart, set up once for a uniform delay grid.
+def _chirp_z(taus: np.ndarray, dtau: float, step: float, m: int):
+    """The sum over m nodes step apart, set up once for delays dtau apart.
 
     Returns phase_sum(start, weights), which gives
     sum_j weights[j] exp(i tau (start + j step)) for every tau of taus, as a
-    chirp-z transform (Bluestein).  The delay spacing dtau is taken from the
-    end points of taus.  Count the delay k' and the node j' from the midpoints
-    tau_c of a piece of Q delays and nu_c of the m nodes; then
+    chirp-z transform (Bluestein); dtau is _lattice_spacing(taus).  Count the delay
+    k' and the node j' from the midpoints tau_c of a piece of Q delays and nu_c of
+    the m nodes; then
     tau nu = tau nu_c + tau_c step j' + alpha k' j' with alpha = dtau step,
     and k' j' = (k'^2 + j'^2 - (k' - j')^2) / 2 turns the sum over j into one
     convolution with the chirp exp(-i alpha d^2 / 2), done by FFT.  The
@@ -239,7 +240,6 @@ def _chirp_z(taus: np.ndarray, step: float, m: int):
     memory is O(Q + m) whatever the delay count.
     """
     n_taus = taus.size
-    dtau = (taus[-1] - taus[0]) / (n_taus - 1) if n_taus > 1 else 0.0
     alpha = _two_product(dtau, step)
     q = min(n_taus, max(m, _MIN_PIECE))
     size = _fast_length(q + m - 1)
@@ -287,7 +287,7 @@ def _amplitude_grid(params: PhysicalParams, filt: CosinePhaseFilter, taus: np.nd
     scale_floor = 2.0 * math.sqrt(math.pi) / T
 
     n_coarse = _coarse_intervals(nu_max, T, taus, filt, settings)
-    _check_uniform(taus)
+    dtau = _lattice_spacing(taus)
     theta = pump_phase(params, filt.mod_frequency)
     n = 2 * n_coarse
 
@@ -302,7 +302,7 @@ def _amplitude_grid(params: PhysicalParams, filt: CosinePhaseFilter, taus: np.nd
     # last gives them the even nodes' count too, so one chirp-z set-up serves
     # both sums, taken one after the other
     h = 2.0 * nu_max / n
-    phase_sum = _chirp_z(taus, 2.0 * h, n_coarse + 1)
+    phase_sum = _chirp_z(taus, dtau, 2.0 * h, n_coarse + 1)
     w = node_weights(-nu_max, 2.0 * h, n_coarse + 1)
     w[0] *= 0.5
     w[-1] *= 0.5

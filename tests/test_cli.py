@@ -457,7 +457,12 @@ class TestExitCodes:
         # 8 / 1e-310 overflows, its logarithm does not: the bound sizes the rule,
         # and the halving check cannot reach a tolerance below round-off
         ([], "quad_rel_tol = 1e-310\n", 5, "error: no convergence at 2048 intervals"),
-    ], ids=["beta", "tau-max", "tau-span", "subnormal-tolerance"])
+        # a subnormal span is a uniform delay grid: answered, as the series route answers it
+        (["--tau-min", "0", "--tau-max", "2.88e-310"], None, 0, None),
+        # 100 subnormal steps: the last delay drifts 10 subnormals off the lattice
+        (["--tau-min=-2.88e-310", "--tau-max", "2.88e-310", "--points", "101"], None, 0, None),
+    ], ids=["beta", "tau-max", "tau-span", "subnormal-tolerance", "subnormal-span",
+            "subnormal-span-101"])
     def test_quadrature_overflow_refused(self, tmp_path, capsys, flags, config, code, message):
         if config is not None:
             (tmp_path / "run.cfg").write_text(config)
@@ -465,6 +470,11 @@ class TestExitCodes:
         assert main(["curve", "--method", "quadrature", "--points", "3", *flags,
                      "--out", str(tmp_path / "x.csv")]) == code
         err = capsys.readouterr().err
+        if code == 0:
+            assert err == ""
+            assert main(["curve", "--points", "3", *flags, "--out", str(tmp_path / "s.csv")]) == 0
+            assert data_rows(tmp_path / "x.csv") == data_rows(tmp_path / "s.csv")
+            return
         assert err.startswith(message)
         assert err.count("\n") == 1
 

@@ -173,6 +173,10 @@ class TestStripBound:
     # a one-fold least window: the tolerance's floor of 5.24 folds sets the window
     @example(depth=2.0, mod_frequency=50.0, first=-1.0, last=1.0, count=5, folds=1.0,
              rel_tolerance=1e-11)
+    # a subnormal span: the last delay sits one subnormal off the lattice, more
+    # than 4 eps (|first| + |last|)
+    @example(depth=0.0, mod_frequency=0.0, first=0.0, last=2.2250738585e-313, count=3,
+             folds=1.0, rel_tolerance=9.713712697538606e-07)
     @settings(max_examples=25, deadline=None)
     def test_first_level_passes_and_matches_dense_sum(self, params, T, depth, mod_frequency,
                                                       first, last, count, folds, rel_tolerance):
@@ -205,13 +209,28 @@ class TestStripBound:
 
 
 class TestUniformGrid:
+    # the last grid is subnormal, and off its lattice by far more than the bound's floor
     @pytest.mark.parametrize("taus", [[0.0, 1.0, 3.0], [0.0, 1.0, 1.0, 2.0],
-                                      [-600.0, -599.5, 600.0]])
+                                      [-600.0, -599.5, 600.0], [0.0, 1e-320, 3e-310]])
     def test_non_uniform_grid_refused(self, params, standard_filter, taus):
-        with pytest.raises(ParameterError, match="uniform delay grid"):
+        with pytest.raises(ParameterError, match="uniform delay grid") as refused:
             rate_grid(params, standard_filter, taus)
+        assert "np.float64(" not in str(refused.value)  # plain floats
         with pytest.raises(ParameterError, match="uniform delay grid"):
             sample_curve(params, standard_filter, taus, method="quadrature")
+
+    @given(first=st.floats(min_value=-1.0, max_value=1.0),
+           last=st.floats(min_value=-1.0, max_value=1.0),
+           scale=st.sampled_from([5e-324, 1e-320, 1e-310, 1e-305, 1.0, 1e300]),
+           count=st.integers(min_value=1, max_value=20_000))
+    # 100 steps of a subnormal spacing: the last delay drifts 10 subnormals off
+    # the lattice, which a floor that did not grow with the count would refuse
+    @example(first=-1.0, last=1.0, scale=2.88e-310, count=101)
+    @settings(max_examples=60, deadline=None)
+    def test_every_linspace_grid_accepted(self, first, last, scale, count):
+        taus = np.linspace(first * scale, last * scale, count)
+        spacing = quadrature._lattice_spacing(taus)
+        assert spacing == ((taus[-1] - taus[0]) / (count - 1) if count > 1 else 0.0)
 
 
 class TestConvergence:
