@@ -33,7 +33,6 @@ from .quadrature import (
     rate_grid,
 )
 from .analysis import (
-    Lobe,
     LobeReport,
     SweepResult,
     TauMaxResult,

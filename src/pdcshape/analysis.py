@@ -73,19 +73,13 @@ class SweepResult:
         _require_increasing(self.beta_values)
 
 
-@dataclass(frozen=True)
-class Lobe:
-    center: float
-    height: float
-    prominence: float
-
-
 @dataclass
 class LobeReport:
-    """Strict local maxima of a sampled curve, tallest-first merged within T/4."""
+    """Lobes of a sampled curve in delay order: each one's delay, rate and prominence."""
 
-    lobes: list[Lobe]
-    threshold: float
+    centers: np.ndarray
+    heights: np.ndarray
+    prominences: np.ndarray
 
 
 def _pick(seg: np.ndarray, x: np.ndarray, y: np.ndarray, count: int) -> np.ndarray:
@@ -404,21 +398,22 @@ def detect_lobes(curve: CorrelationCurve, min_height: float | None = None) -> Lo
     """Strict local maxima above min_height (default 0.01 of the curve max).
 
     Maxima closer than T/4 are merged into their tallest member; that scale
-    separates genuine envelope lobes from sampling-level ripple.
+    separates genuine envelope lobes from sampling-level ripple.  Then, as in SciPy's
+    find_peaks(..., prominence=_RATE_TIE), maxima less prominent than that (round-off) go.
     """
     T = characteristic_time(curve.params)
     step = _uniform_step(curve, 1e-6, "lobe detection")
     _require_resolution(step, T)
     rates = curve.rates
-    threshold = 0.01 * float(np.max(rates)) if min_height is None else float(min_height)
+    height = 0.01 * float(np.max(rates)) if min_height is None else float(min_height)
     # a distance past the curve's length merges the same maxima, and a subnormal
     # step would make it infinite
     distance = max(1, math.ceil(min((T / 4.0) / step, rates.size)))
-    idx = _find_peaks(rates, threshold, distance)
+    idx = _find_peaks(rates, height, distance)
     prominences = _prominences(rates, idx)
-    lobes = [Lobe(center=float(curve.tau_grid[i]), height=float(rates[i]),
-                  prominence=float(p)) for i, p in zip(idx, prominences)]
-    return LobeReport(lobes=lobes, threshold=threshold)
+    keep = prominences >= _RATE_TIE
+    return LobeReport(centers=curve.tau_grid[idx[keep]], heights=rates[idx[keep]],
+                      prominences=prominences[keep])
 
 
 def total_coincidence_integral(curve: CorrelationCurve) -> float:

@@ -16,7 +16,8 @@ from . import analysis
 from .config import RunConfig, resolve_config
 from .csvio import _meta_str, write_csv
 from .errors import ConvergenceError, ParameterError
-from .model import _METHODS, CorrelationCurve, CosinePhaseFilter, sample_curve
+from .model import (_METHODS, CorrelationCurve, CosinePhaseFilter, require_curve_cells,
+                    sample_curve, truncation_for)
 from .quadrature import (
     VALIDATION_DEPTHS,
     VALIDATION_MOD_FREQUENCIES,
@@ -102,18 +103,24 @@ def _out_path(cfg: RunConfig, command: str) -> Path:
     return Path(cfg.out) if cfg.out is not None else Path(f"{command}.csv")
 
 
-def _sample(cfg: RunConfig, filt: CosinePhaseFilter, grid: np.ndarray) -> CorrelationCurve:
-    """The rate curve over grid by cfg.method, with cfg's cutoff and quadrature policy."""
-    return sample_curve(cfg.params, filt, grid, method=cfg.method, trunc_tol=cfg.trunc_tol,
-                        settings=cfg.quad)
+def _curves(cfg: RunConfig, filters: list[CosinePhaseFilter]) -> list[CorrelationCurve]:
+    """Each filter's rate curve over cfg's delay grid, by cfg's method, cutoff and quadrature
+    settings; every series curve passes the cell cap, in filter order, before the grid is built."""
+    if cfg.method == "series":
+        for filt in filters:
+            require_curve_cells(cfg.tau_min, cfg.tau_max, cfg.points,
+                                truncation_for(filt, cfg.trunc_tol))
+    grid = cfg.tau_grid()
+    return [sample_curve(cfg.params, filt, grid, method=cfg.method, trunc_tol=cfg.trunc_tol,
+                         settings=cfg.quad) for filt in filters]
 
 
 def _curve_columns(cfg: RunConfig,
                    labelled: list[tuple[str, CosinePhaseFilter]]) -> list[tuple[str, np.ndarray]]:
     """A tau_fs column, then one rate column per (label, filter)."""
-    grid = cfg.tau_grid()
-    return [("tau_fs", grid)] + [(label, _sample(cfg, filt, grid).rates)
-                                 for label, filt in labelled]
+    curves = _curves(cfg, [filt for _, filt in labelled])
+    return [("tau_fs", curves[0].tau_grid)] + [(label, curve.rates)
+                                               for (label, _), curve in zip(labelled, curves)]
 
 
 def run_command(cfg: RunConfig, command: str) -> int:
@@ -151,12 +158,10 @@ def run_command(cfg: RunConfig, command: str) -> int:
                               ("rate_at_max", sweep.rates)])
 
     elif command == "lobes":
-        curve = _sample(cfg, cfg.pair_filter(), cfg.tau_grid())
+        (curve,) = _curves(cfg, [cfg.pair_filter()])
         report = analysis.detect_lobes(curve, cfg.min_lobe_height)
-        write_csv(out, meta,
-                  [("center_fs", np.array([l.center for l in report.lobes])),
-                   ("height", np.array([l.height for l in report.lobes])),
-                   ("prominence", np.array([l.prominence for l in report.lobes]))])
+        write_csv(out, meta, [("center_fs", report.centers), ("height", report.heights),
+                              ("prominence", report.prominences)])
 
     elif command == "validate":
         cells = [CosinePhaseFilter(a, b)

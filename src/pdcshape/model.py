@@ -40,8 +40,8 @@ TRUNC_TOL = 1e-12  # default bound on the dropped tail of the series (truncation
 # quadrature's interval budget shares this cap.
 _MAX_COMB_CELLS = 2**24
 # Delays per block of the series comb: at most _TAU_BLOCK x (2M + 1) cells are
-# held at once, 25 B each (a complex work cell, its float -s^2 and its flush
-# flag): about 1.6 MB at depth 10 (M = 31).
+# held at once, 24 B each (a complex work cell and its float -s^2), ~1.5 MB at
+# M = 31, and up to 9 B more while -s^2 is formed (repeated centres, flush mask).
 _TAU_BLOCK = 1024
 # Lobe reach R in units of T: exp(-28^2) underflows to exactly 0.0 in float64
 # (anything past |s| ~ 27.3 does), so orders farther than R from a block are
@@ -361,6 +361,11 @@ def require_cells(what: str, delays: float, trunc: SeriesTruncation, remedy: str
             f"over the cap of {_MAX_COMB_CELLS}; {remedy}")
 
 
+def require_curve_cells(first: float, last: float, delays: int, trunc: SeriesTruncation) -> None:
+    """Refuse a series curve over delays from first to last fs above the cell cap."""
+    require_cells(f"the curve over {first:g} .. {last:g} fs", delays, trunc, "use fewer points")
+
+
 def window_halfcount(what: str, half: float, step: float, trunc: SeriesTruncation,
                      remedy: str) -> int:
     """The n of the symmetric grid k*step, |k| <= n = ceil(half/step), once require_cells
@@ -409,8 +414,7 @@ def sample_curve(params: PhysicalParams, filt: CosinePhaseFilter, tau_grid,
         raise ParameterError("tau_grid must be a non-empty 1-d array")
     if method == "series":
         trunc = truncation_for(filt, trunc_tol)
-        require_cells(f"the curve over {tau_grid[0]:g} .. {tau_grid[-1]:g} fs", tau_grid.size,
-                      trunc, "use fewer points")
+        require_curve_cells(tau_grid[0], tau_grid[-1], tau_grid.size, trunc)
         rates = count_rate(params, filt, trunc, tau_grid)
     else:
         from .quadrature import rate_grid  # deferred: quadrature imports this module

@@ -101,24 +101,23 @@ def test_peak_sign_selection(params, reference_sweep):
 
 def test_lobe_structure(params):
     single = sample_curve(params, CosinePhaseFilter(2.0, 50.0), uniform_grid(600, 0.5))
-    n_single = len(detect_lobes(single).lobes)
+    n_single = detect_lobes(single).centers.size
 
     split = sample_curve(params, CosinePhaseFilter(2.0, 300.0), uniform_grid(2000, 1.0))
-    n_split = len(detect_lobes(split).lobes)
+    n_split = detect_lobes(split).centers.size
 
     wide = sample_curve(params, CosinePhaseFilter(2.0, 1000.0), uniform_grid(3500, 2.0))
-    lobes = detect_lobes(wide, min_height=0.1 * wide.rates.max()).lobes
-    centers = np.array([l.center for l in lobes])
-    heights = np.array([l.height for l in lobes])
+    lobes = detect_lobes(wide, min_height=0.1 * wide.rates.max())
+    centers, heights = lobes.centers, lobes.heights
     expected_ratio = np.array([J2[2] ** 2, J2[1] ** 2, J2[0] ** 2,
                                J2[1] ** 2, J2[2] ** 2]) / J2[1] ** 2
-    geometry_ok = (len(lobes) == 5
+    geometry_ok = (centers.size == 5
                    and np.allclose(centers, [-2000, -1000, 0, 1000, 2000], atol=5.0)
                    and np.allclose(heights / heights.max(), expected_ratio, rtol=0.01))
     ok = n_single == 1 and n_split >= 2 and geometry_ok
     report("lobe-structure", ok,
            f"50 fs: {n_single} lobe, 300 fs: {n_split} lobes, "
-           f"1000 fs: {len(lobes)} lobes on the m*1000 fs grid, heights within 1%")
+           f"1000 fs: {centers.size} lobes on the m*1000 fs grid, heights within 1%")
 
 
 def test_total_integral_conserved(params, T):

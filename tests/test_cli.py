@@ -81,7 +81,7 @@ class TestConfigResolution:
 
     def test_flag_beats_config_file(self, tmp_path):
         f = tmp_path / "run.cfg"
-        f.write_text("beta = 50\nalpha = 1.5  # trailing comment\n")
+        f.write_text("# a comment line\n\nbeta = 50\n   \nalpha = 1.5  # trailing comment\n")
         cfg = resolve_config({"beta": 53.0}, f)
         assert cfg.beta == 53.0
         assert cfg.alpha == 1.5
@@ -432,8 +432,15 @@ class TestExitCodes:
         # past MAX_ORDER no series cutoff exists, and the Bessel table's DFT would grow with it
         (["curve", "--alpha", "1e7"], "error: filter depth 10000000.0 too large for series"),
         (["curve", "--alpha", "1e300"], "error: filter depth 1e+300 too large for series"),
+        # every series column is sized before the 2^24-delay grid is built; fig3's
+        # depth-0 column fits the cap, its depth-2 column does not
+        (["curve", "--alpha", "2", "--points", "16777216"], "error: the curve over -600 .. 600"),
+        (["lobes", "--alpha", "2", "--points", "16777216"], "error: the curve over -600 .. 600"),
+        (["fig3", "--points", "16777216"], "error: the curve over -600 .. 600"),
+        (["fig4", "--points", "16777216"], "error: the curve over -3500 .. 3500"),
     ], ids=["sweep-beta", "tau-max", "curve-points", "curve-cells", "validate-grid",
-            "validate-grid-depth-1", "validate-grid-inf", "curve-depth-1e7", "curve-depth-1e300"])
+            "validate-grid-depth-1", "validate-grid-inf", "curve-depth-1e7", "curve-depth-1e300",
+            "curve-grid", "lobes-grid", "fig3-grid", "fig4-grid"])
     def test_usage_error_on_oversized_work(self, tmp_path, capsys, argv, message):
         tracemalloc.start()
         try:

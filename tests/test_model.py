@@ -173,6 +173,10 @@ class TestTruncation:
             with pytest.raises(ParameterError, match="too large for series truncation"):
                 truncation_for(CosinePhaseFilter(depth, 0.0))
 
+    def test_negative_max_order_refused(self):
+        with pytest.raises(ParameterError, match="max_order must be >= 0"):
+            SeriesTruncation(2.0, -1, bessel_j_table(2.0, 0))
+
     def test_bad_tolerance_rejected(self):
         for _ in range(2):  # a refusal is not memoised: every call raises
             with pytest.raises(ParameterError, match="tol must be in"):
