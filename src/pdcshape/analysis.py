@@ -35,9 +35,10 @@ _MAX_SWEEP_STEPS = 100_000
 # Rows of the peak scan held at once, the search's one memory budget, so that
 # memory does not grow with a sweep.  _search takes the betas in consecutive
 # groups whose coarse rows sum to at most this (a group holds at least one
-# beta), and _scan_peak fills in whole-beta batches of at most this many rows;
-# a larger fill goes alone, in pieces this long from its own first row.  A
-# multiple of the comb's block, so the pieces keep the blocks of the whole fill.
+# beta), and _scan_peak takes the coarse scan and each level of its gap fill
+# in whole-beta batches of at most this many rows; a larger level of one beta
+# goes alone, in pieces this long from its own first row.  A multiple of the
+# comb's block, so the pieces keep the blocks of the whole level.
 _SCAN_ROWS = 2**13
 
 
@@ -127,50 +128,102 @@ def _scan_peak(params: PhysicalParams, trunc: SeriesTruncation, betas: np.ndarra
     (_coarse_grid) and on both ends, and its curvature is bounded exactly:
     with C = sum |J_m(depth)| over the kept orders, |A| <= C,
     |g'| <= sqrt(2/e)/T and |g''| <= 2/T^2 for each Gaussian g, so
-    |d^2 |A|^2 / d tau^2| <= K = (4 + 4/e) C^2 / T^2, and on a coarse gap of
-    width w the rate is at most the larger end rate plus K w^2 / 8.  Only the gaps whose bound reaches the beta's coarse best minus
-    two tie margins (one absorbs rounding) are filled in.  Every grid point
-    that could win or tie is therefore evaluated, and the pick is the full
-    grid's.  Where K is loose (large depth) every gap is filled, which is the
-    full grid and no more.  The coarse points of every beta are one comb call,
-    and the fills follow in batches and pieces of at most _SCAN_ROWS rows.
-    _pick takes the candidates of all calls in any order.
+    |d^2 |A|^2 / d tau^2| <= K = (4 + 4/e) C^2 / T^2, and between two
+    evaluated points w rows apart the rate is at most the larger end rate
+    plus K (w grid_step)^2 / 8.  A gap whose bound reaches its beta's best
+    so far minus two tie margins (one absorbs rounding) is sampled at every
+    ceil(w/8)-th row, and the bound is applied again to each of its
+    sub-gaps against the updated best, level by level, until no gap wider
+    than one row passes.  Every grid point that could win or tie is
+    therefore evaluated, none twice, and the pick is the full grid's.
+    Where K is loose (large depth) the levels fill every gap, which is the
+    full grid and no more.
+
+    The coarse scan and each level of the fill go to the comb in whole-beta
+    batches of at most _SCAN_ROWS rows (the coarse points of a _search
+    group are one call), and a larger level of one beta goes alone, in
+    pieces this long counted from its own first row of the level.  A batch's
+    sub-gaps are filled before the next batch, so only one batch's levels
+    are held at once.  _pick takes the candidates of all calls in any order.
     """
     T = characteristic_time(params)
     curvature = (4.0 + 4.0 / math.e) * (np.sum(np.abs(trunc.coefficients)) / T) ** 2
-    s, counts = _coarse_grid(T, ns, grid_step)
-    run = np.repeat(np.arange(betas.size), counts)
-    ends = np.cumsum(counts)
-    ks = (np.arange(run.size) - (ends - counts)[run]) * s[run] - ns[run]
-    ks[ends - 1] = ns
-    rates = comb_rates(params, trunc, betas, counts, ks * grid_step)
-    top = np.maximum.reduceat(rates, ends - counts)
-    reach = (np.maximum(rates[:-1], rates[1:])
-             + curvature * (np.diff(ks) * grid_step) ** 2 / 8.0)
-    gaps = np.flatnonzero((reach >= (top - 2.0 * _RATE_TIE)[run[:-1]])
-                          & (run[:-1] == run[1:]))
-    inner = ks[gaps + 1] - ks[gaps] - 1  # the last gap may be shorter than s
-    # the fill rows of all betas in gap order: gap g fills ks[g] + 1 .. ks[g + 1] - 1
-    gap_ends = np.cumsum(inner)
-    gap_first = ks[gaps] + 1 - (gap_ends - inner)  # k = gap_first + row
-    fills = np.bincount(run[gaps], weights=inner, minlength=betas.size).astype(np.int64)
-    ends = np.cumsum(fills)
-    begins = ends - fills
+    top = np.full(betas.size, -np.inf)
     # candidates: every row within a tie of its beta's best so far, a superset
     # of those within a tie of its final best
-    keep = rates >= (top - _RATE_TIE)[run]
-    cand = [(ks[keep], rates[keep], run[keep])]
-    for p, q in _batches(fills, _SCAN_ROWS):
-        for lo in range(begins[p], ends[q - 1], _SCAN_ROWS):
-            hi = min(lo + _SCAN_ROWS, ends[q - 1])
-            row = np.arange(lo, hi)
-            k = gap_first[np.searchsorted(gap_ends, row, side="right")] + row
-            counts = np.minimum(ends[p:q], hi) - np.maximum(begins[p:q], lo)
-            y = comb_rates(params, trunc, betas[p:q], counts, k * grid_step)
-            r = np.repeat(np.arange(p, q), counts)
+    cand = []
+
+    def sample(p, q, run, k, w, step, first, count):
+        # the rates at rows min(k + j step, k + w), first <= j < first + count,
+        # of segments (beta run, rows k .. k + w) of betas p .. q - 1, segment
+        # by segment, in pieces of _SCAN_ROWS rows (so one beta, or fewer rows)
+        last = np.cumsum(count)  # one past each segment's last row
+        ys = []
+        for lo in range(0, last[-1], _SCAN_ROWS):
+            row = np.arange(lo, min(lo + _SCAN_ROWS, last[-1]))
+            g = np.searchsorted(last, row, side="right")
+            kr = np.minimum(k[g] + (row - last[g] + count[g] + first) * step[g], k[g] + w[g])
+            r = run[g]
+            y = comb_rates(params, trunc, betas[p:q], np.bincount(r - p, minlength=q - p),
+                           kr * grid_step)
             np.maximum.at(top, r, y)
             keep = y >= top[r] - _RATE_TIE
-            cand.append((k[keep], y[keep], r[keep]))
+            cand.append((kr[keep], y[keep], r[keep]))
+            ys.append(y)
+        return np.concatenate(ys)
+
+    def kept(run, k, w, step, y):
+        # segment g (beta run[g]) holds the points k[g] + j step[g] for
+        # j < ceil(w[g] / step[g]) and k[g] + w[g], rates y segment after
+        # segment.  Of the gaps between consecutive points (each step[g] rows
+        # wide but the last), those wider than one row whose bound reaches
+        # their beta's best so far: beta, first k, width and end rates
+        gaps = -(-w // step)
+        tail = w - (gaps - 1) * step  # the last gap's width
+        floor = (top - 2.0 * _RATE_TIE)[run]
+
+        def need(width):  # the larger end rate a gap this wide needs
+            return np.where(width > 1, floor - curvature * (width * grid_step) ** 2 / 8.0,
+                            np.inf)
+
+        end = np.cumsum(gaps + 1) - 1  # each segment's last point
+        least = np.repeat(need(step), gaps + 1)[:-1]  # the gap from point i to i + 1
+        least[end[:-1]] = np.inf  # joins two segments
+        least[end - 1] = need(tail)
+        i = np.flatnonzero(np.maximum(y[:-1], y[1:]) >= least)
+        g = np.searchsorted(end, i)
+        j = i - (end - gaps)[g]
+        return (run[g], k[g] + j * step[g], np.where(j < gaps[g] - 1, step[g], tail[g]),
+                y[i], y[i + 1])
+
+    def fill(run, k, w, y_lo, y_hi):
+        # kept gaps in beta and delay order: each is sampled at every step-th
+        # row, a batch of betas at a time, and the batch's kept sub-gaps follow
+        step = -(-w // 8)
+        inner = -(-w // step) - 1  # rows k + step, k + 2 step, ... short of k + w
+        fills = np.bincount(run, weights=inner, minlength=betas.size).astype(np.int64)
+        for p, q in _batches(fills, _SCAN_ROWS):
+            a, b = np.searchsorted(run, [p, q])
+            if a == b:
+                continue
+            y = sample(p, q, *(x[a:b] for x in (run, k, w, step)), 1, inner[a:b])
+            split = step[a:b] > 1  # gaps wider than 8, whose sub-gaps can pass
+            if split.any():
+                # each one's two ends and its rows are the points of its sub-gaps
+                gs = np.flatnonzero(split) + a
+                at = np.repeat(np.cumsum(inner[gs]) - inner[gs], 2)
+                at[1::2] += inner[gs]
+                sub = kept(run[gs], k[gs], w[gs], step[gs],
+                           np.insert(y[np.repeat(split, inner[a:b])], at,
+                                     np.column_stack((y_lo[gs], y_hi[gs])).ravel()))
+                del y  # the descent holds its own batches' rows, not these
+                fill(*sub)
+
+    # the coarse scan: segment -n .. n of each beta, every point sampled
+    s, counts = _coarse_grid(T, ns, grid_step)
+    for p, q in _batches(counts, _SCAN_ROWS):
+        coarse = (np.arange(p, q), -ns[p:q], 2 * ns[p:q], s[p:q])
+        fill(*kept(*coarse, sample(p, q, *coarse, 0, counts[p:q])))
     k, y, r = (np.concatenate(c) for c in zip(*cand))
     return k[_pick(r, k * grid_step, y, betas.size)]
 
@@ -196,8 +249,8 @@ def _peak_search(params: PhysicalParams, trunc: SeriesTruncation, betas: np.ndar
 
     Four phases, each over all betas still searching: _scan_peak's coarse
     scan and its bound and gap fill; each 9-point round; and the parabola
-    vertex.  Each phase is one comb_rates call, the gap fill one per batch or
-    piece, and one segment-wise lexsort for the tie rule.  A pick on the
+    vertex.  Each phase is one comb_rates call, the gap fill one per level
+    and batch or piece, and one segment-wise lexsort for the tie rule.  A pick on the
     window edge raises a SearchError naming the first such beta.
     """
     ks = _scan_peak(params, trunc, betas, ns, grid_step)
@@ -246,12 +299,13 @@ def _search(params: PhysicalParams, alpha: float, betas: np.ndarray,
             trunc_tol: float) -> np.ndarray:
     """find_tau_max at each of betas, as rows tau_max, rate_at_max, refinement_width.
 
-    Every beta is sized before any is searched: in beta order, its scan window
-    (_scan_size) and then its pump twist (pump_phase), the refusals a search
-    meets before it evaluates anything.  So the first refusal is the one a
-    search per beta would meet, and no comb is evaluated before it.  The
-    betas are then searched in lockstep (_peak_search), in the consecutive
-    groups of _SCAN_ROWS.  Each beta is a comb_rates run of its own, cut into
+    Every beta is sized before any is searched: its scan window (_scan_size)
+    and its pump twist (pump_phase), the refusals a search meets before it
+    evaluates anything.  The windows go in beta order and the twists in one
+    call, those before a refused window first, so the first refusal, in beta
+    order and window before twist, is the one a search per beta would meet,
+    and no comb is evaluated before it.  The betas are then searched in
+    lockstep (_peak_search), in the consecutive groups of _SCAN_ROWS.  Each beta is a comb_rates run of its own, cut into
     blocks from its own start, so its values are those of its search alone,
     bit for bit.
     """
@@ -264,9 +318,13 @@ def _search(params: PhysicalParams, alpha: float, betas: np.ndarray,
     _require_resolution(grid_step, T)
     ns = np.empty(betas.size, dtype=np.int64)
     for i, beta in enumerate(betas.tolist()):
-        ns[i] = _scan_size(params, CosinePhaseFilter(alpha, beta), trunc, search_halfwidth,
-                           grid_step)
-        pump_phase(params, beta, trunc.max_order)
+        try:
+            ns[i] = _scan_size(params, CosinePhaseFilter(alpha, beta), trunc,
+                               search_halfwidth, grid_step)
+        except ParameterError:
+            pump_phase(params, betas[:i], trunc.max_order)  # an earlier beta's twist first
+            raise
+    pump_phase(params, betas, trunc.max_order)
     found = np.empty((3, betas.size))
     for p, q in _batches(_coarse_grid(T, ns, grid_step)[1], _SCAN_ROWS):
         found[:, p:q] = _peak_search(params, trunc, betas[p:q], ns[p:q], grid_step, refine_tol)
@@ -282,9 +340,9 @@ def find_tau_max(params: PhysicalParams, filt: CosinePhaseFilter,
     (always containing tau = 0), by the grid argmax: rate ties within 1e-12
     go to the smallest |tau| and then to negative tau.  _scan_peak finds that
     argmax exactly while evaluating only the grid points that an exact
-    curvature bound cannot rule out (about 380 of 8,200 at depth 2).  The
-    bracket is then refined by repeated 9-point bracketing plus a final
-    parabolic fit.  refine_tol is a target: refinement also stops where the
+    curvature bound cannot rule out, level by level (about 190 of 8,200 at
+    depth 2).  The bracket is then refined by repeated 9-point bracketing
+    plus a final parabolic fit.  refine_tol is a target: refinement also stops where the
     bracket no longer narrows at float resolution, and refinement_width is
     the width reached.  The default window series_halfwidth
     covers every series lobe; if the grid argmax is a window end the window

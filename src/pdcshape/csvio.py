@@ -25,6 +25,8 @@ value does.
 
 from __future__ import annotations
 
+import contextlib
+import os
 from pathlib import Path
 
 import numpy as np
@@ -109,9 +111,38 @@ def _render_body(arrays: list[np.ndarray]) -> bytes:
     return body[body != 0].tobytes()
 
 
+@contextlib.contextmanager
+def _replacing(path: str | Path):
+    """A binary file whose bytes take path's place once the block ends without error.
+
+    They go to a new file beside the target, which os.replace then puts in its
+    place, so a write that fails leaves the target's old bytes and no partial
+    file.  It is opened "xb", so it gets the mode a plain open gives.  A
+    symlink's file is replaced, not the link, and a target that exists and is
+    not a regular file (/dev/null, a FIFO) is written in place.
+    """
+    if os.path.islink(path):
+        path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as fh:
+            yield fh
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def write_csv(path: str | Path, metadata: dict,
               columns: list[tuple[str, np.ndarray]]) -> None:
-    """Write the header, then _ROW_CHUNK rows at a time, with LF endings on every platform."""
+    """Write the header, then _ROW_CHUNK rows at a time, with LF endings on every
+    platform; a write that fails leaves the file as it was (_replacing)."""
     n_rows = len(columns[0][1]) if columns else 0
     for name, values in columns:  # refused before the file opens
         if len(values) != n_rows:
@@ -120,7 +151,7 @@ def write_csv(path: str | Path, metadata: dict,
     lines.append(",".join(name for name, _ in columns))
     header = ("\n".join(lines) + "\n").encode("ascii")
     arrays = [np.asarray(values) for _, values in columns]
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         fh.write(header)
         for lo in range(0, n_rows, _ROW_CHUNK):
             fh.write(_render_body([a[lo:lo + _ROW_CHUNK] for a in arrays]))

@@ -173,18 +173,44 @@ DEFAULT_PARAMS = PhysicalParams(
 )
 
 
-def pump_phase(params: PhysicalParams, beta: float, max_order: int = 1) -> float:
-    """theta = beta*omega0/2 reduced modulo 2 pi, for the comb's twist exp(i m theta) and
-    the quadrature's cos(theta - beta nu) alike: unreduced, it reaches ~5e16 rad at
-    1e-12 nm, where m theta is no longer m times one angle.  A ParameterError
-    refuses a max_order * theta that is not finite."""
+def _twist_refused(max_order: int, beta: float, omega0: float) -> ParameterError:
+    return ParameterError(
+        f"the pump twist M*beta*omega0/2 at M = {max_order}, beta = {beta:g} fs, omega0 = "
+        f"{omega0:g} rad/fs is not finite; lower beta or the pump frequency")
+
+
+def pump_phase(params: PhysicalParams, betas, max_order: int = 1):
+    """theta = beta*omega0/2 reduced modulo 2 pi for each of betas (a float in, a float
+    out), for the comb's twist exp(i m theta) and the quadrature's cos(theta - beta nu)
+    alike: unreduced, it reaches ~5e16 rad at 1e-12 nm, where m theta is no longer m
+    times one angle.  A ParameterError refuses the first beta whose max_order * theta
+    is not finite.
+
+    Each theta is math.remainder(theta, 2 pi), bit for bit.  One beta takes it
+    directly, which costs less than the array steps.  For more, r = fmod(|theta|,
+    2 pi) is exact, and so is r - 2 pi where r > pi (Sterbenz), the value nearer
+    zero; an exact tie r = pi, which rounds to the even multiple, is left to
+    math.remainder.
+    """
     omega0 = pump_angular_frequency(params)
-    theta = 0.5 * beta * omega0
-    if not math.isfinite(max_order * theta):  # Python floats overflow quietly
-        raise ParameterError(
-            f"the pump twist M*beta*omega0/2 at M = {max_order}, beta = {beta:g} fs, omega0 = "
-            f"{omega0:g} rad/fs is not finite; lower beta or the pump frequency")
-    return math.remainder(theta, 2.0 * math.pi)
+    betas = np.asarray(betas, dtype=float)
+    if betas.size == 1:
+        theta = 0.5 * betas.item() * omega0
+        if not math.isfinite(max_order * theta):  # Python floats overflow quietly
+            raise _twist_refused(max_order, betas.item(), omega0)
+        reduced = math.remainder(theta, 2.0 * math.pi)
+        return reduced if betas.ndim == 0 else np.full(betas.shape, reduced)
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = 0.5 * betas * omega0
+        finite = np.isfinite(max_order * theta)
+    if not finite.all():
+        raise _twist_refused(max_order, float(betas.flat[np.argmin(finite)]), omega0)
+    r = np.fmod(np.abs(theta), 2.0 * math.pi)
+    reduced = np.where(r < math.pi, r, r - 2.0 * math.pi) * np.copysign(1.0, theta)
+    tie = r == math.pi
+    if tie.any():
+        reduced[tie] = [math.remainder(t, 2.0 * math.pi) for t in theta[tie].tolist()]
+    return reduced
 
 
 def truncation_for(filt: CosinePhaseFilter, tol: float = TRUNC_TOL) -> SeriesTruncation:
@@ -263,10 +289,13 @@ def amplitude_comb(params: PhysicalParams, trunc: SeriesTruncation, betas, count
     skipped, not approximated.  At beta = 0 that keeps every order near
     tau = 0 and none far from it.  Consecutive blocks of up to _TAU_BLOCK
     delays in all share one exp(-s^2) evaluation, padded to their widest
-    order run, and then each block takes one complex matmul against its own
-    run's twisted coefficients: a run's values are bit for bit those it gets
-    alone.  The pump twist exp(i m theta) is formed here only, from
-    pump_phase's reduced theta, which refuses an M theta that is not finite.
+    order run.  Each block's cells then meet its own run's twisted
+    coefficients in one complex gemv: a lone block in a matmul of its own,
+    consecutive blocks of a batch with equal rows and width in one matmul on
+    their stack, for which NumPy makes the same gemv call per block.  So a
+    run's values are bit for bit those it gets alone.  The pump twist
+    exp(i m theta) is formed here only, from pump_phase's reduced thetas, one
+    call for all runs, which refuses an M theta that is not finite.
 
     Flush: a cell with s^2 > _FLUSH, whose exp(-s^2) is subnormal, reads 0.0
     (exp(-inf)), so neither exp nor the matmul meets a subnormal.  The cells
@@ -282,7 +311,7 @@ def amplitude_comb(params: PhysicalParams, trunc: SeriesTruncation, betas, count
     T = characteristic_time(params)
     m, reach = trunc.max_order, _LOBE_REACH * T
     betas = np.asarray(betas, dtype=float)
-    thetas = np.array([pump_phase(params, beta, m) for beta in betas.tolist()])
+    thetas = pump_phase(params, betas, m)
     # block k: delays start[k]:stop[k] of run[k], orders first[k] .. first[k] + width[k] - 1
     counts = np.asarray(counts, dtype=np.int64)
     ends, per_run = np.cumsum(counts), -(-counts // _TAU_BLOCK)
@@ -305,7 +334,18 @@ def amplitude_comb(params: PhysicalParams, trunc: SeriesTruncation, betas, count
     # real parts of one complex buffer whose imaginary parts stay 0
     size = min(taus.size, _TAU_BLOCK) * int(width.max(initial=0))
     s2, work = np.empty(size), np.zeros(size, dtype=complex)
-    for i, j in _batches(stop - start, _TAU_BLOCK):
+    batches = list(_batches(stop - start, _TAU_BLOCK))
+    # group n is blocks groups[n] .. groups[n + 1] - 1: consecutive blocks of a
+    # batch with equal rows and width, which take one matmul on their stack
+    groups = list(range(run.size + 1))  # one block a group
+    if len(batches) < run.size:  # some batch holds several blocks
+        length = stop - start
+        join = np.zeros(run.size, dtype=bool)
+        join[1:] = (length[1:] == length[:-1]) & (width[1:] == width[:-1])
+        join[[i for i, _ in batches]] = False
+        groups = np.append(np.flatnonzero(~join), run.size).tolist()
+    n = 0
+    for i, j in batches:
         # blocks i .. j - 1, up to _TAU_BLOCK delays in all, share one exp;
         # cells past a block's own orders are padding and never read; where
         # s * s overflows there (or far from every lobe), exp gives the exact 0.0
@@ -326,9 +366,19 @@ def amplitude_comb(params: PhysicalParams, trunc: SeriesTruncation, betas, count
         if g.min(initial=0.0) < -_FLUSH:
             g[g < -_FLUSH] = -np.inf
         np.exp(g, out=cells.real)
-        for s0, s1, r, a, w in zip(*(x[i:j].tolist() for x in (start, stop, run, first, width))):
-            np.matmul(cells[s0 - lo:s1 - lo, :w], coeff[r - r0, a + m:a + m + w],
-                      out=out[s0:s1])
+        while groups[n] < j:
+            k0, k1 = groups[n], groups[n + 1]
+            n += 1
+            s0, rows, w = int(start[k0]), int(stop[k0] - start[k0]), int(width[k0])
+            if k1 == k0 + 1:
+                a = int(first[k0]) + m
+                np.matmul(cells[s0 - lo:s0 - lo + rows, :w], coeff[run[k0] - r0, a:a + w],
+                          out=out[s0:s0 + rows])
+                continue
+            shape, span = (k1 - k0, rows), (k1 - k0) * rows
+            stack = coeff[run[k0:k1, None] - r0, first[k0:k1, None] + np.arange(m, m + w)]
+            np.matmul(cells[s0 - lo:s0 - lo + span, :w].reshape(*shape, w), stack[..., None],
+                      out=out[s0:s0 + span].reshape(*shape, 1))
     return out
 
 

@@ -300,14 +300,31 @@ class TestScanBatches:
         for perm in (np.arange(seg.size)[::-1], rng.permutation(seg.size)):
             assert perm[_pick(seg[perm], x[perm], y[perm], 6)].tolist() == want.tolist()
 
-    def test_fill_pieces_start_from_their_beta(self, params, monkeypatch):
-        # at depth 10 the fills of betas 300 and 301 exceed _SCAN_ROWS: each
-        # goes alone, in pieces counted from its own first fill row
+    @staticmethod
+    def fill_level(k, n, s):
+        """The level of the nested fill at which row k of the grid |k| <= n, coarse
+        stride s, is sampled: 0 on the coarse grid, L in a level-L sub-gap's samples."""
+        if k == n:
+            return 0
+        lo = -n + (k + n) // s * s
+        w, level = min(s, n - lo), 0
+        while k != lo:  # sample every ceil(w / 8)-th row, then go into k's sub-gap
+            step = -(-w // 8)
+            j = (k - lo) // step
+            lo, w, level = lo + j * step, min(step, w - j * step), level + 1
+        return level
+
+    def test_fill_pieces_start_from_their_beta(self, params, T, monkeypatch):
+        # at depth 10 the level fills of betas 300 and 301 exceed a row budget of
+        # one comb block: each such fill goes alone, in pieces counted from the
+        # beta's own first row of the level; a smaller one goes whole
+        monkeypatch.setattr(analysis, "_SCAN_ROWS", _TAU_BLOCK)
         calls = []
         original = analysis.comb_rates
 
         def spying(params, trunc, betas, counts, taus):
-            calls.append((np.asarray(betas).tolist(), np.asarray(counts).tolist()))
+            calls.append((np.asarray(betas).tolist(), np.asarray(counts).tolist(),
+                          np.rint(taus / 0.5).astype(np.int64)))
             return original(params, trunc, betas, counts, taus)
 
         monkeypatch.setattr(analysis, "comb_rates", spying)
@@ -315,21 +332,63 @@ class TestScanBatches:
         betas = np.array([0.0, 300.0, 301.0])
         ns = TestLockstepSearch.windows(params, trunc, betas, 0.5)
         picks = _scan_peak(params, trunc, betas, ns, 0.5)
-        fills = calls[1:]  # the first call is the coarse scan
-        total = {b: 0 for b in betas.tolist()}
-        for call_betas, counts in fills:
-            for b, c in zip(call_betas, counts):
-                total[b] += c
-        assert total[300.0] > analysis._SCAN_ROWS and total[301.0] > analysis._SCAN_ROWS
-        done = {b: 0 for b in betas.tolist()}
-        for call_betas, counts in fills:
-            whole = all(c == total[b] for b, c in zip(call_betas, counts))
-            piece = len(call_betas) == 1 and done[call_betas[0]] % analysis._SCAN_ROWS == 0
-            assert whole or piece, (call_betas, counts)
-            for b, c in zip(call_betas, counts):
-                done[b] += c
+        strides = analysis._coarse_grid(T, ns, 0.5)[0]
+        # each call's rows, per beta and level, in call order
+        rows = {}
+        for i, (call_betas, counts, ks) in enumerate(calls):
+            levels = set()
+            for b, run in zip(call_betas, np.split(ks, np.cumsum(counts)[:-1])):
+                j = betas.tolist().index(b)
+                level = {self.fill_level(int(k), int(ns[j]), int(strides[j])) for k in run}
+                assert len(level) <= 1, (b, level)  # one level a call
+                levels |= level
+                if run.size:
+                    rows.setdefault((b, *level), []).append((i, len(call_betas), run))
+            assert len(levels) == 1, levels
+        pieces = 0
+        for (b, level), parts in rows.items():
+            assert level == 0 or parts[0][0] > rows[b, 0][-1][0]  # after the coarse scan
+            whole = np.concatenate([run for _, _, run in parts])
+            assert np.all(np.diff(whole) > 0), (b, level)  # in delay order
+            if len(parts) > 1:  # pieces: one beta a call, consecutive calls, full budgets
+                pieces += 1
+                assert all(n_betas == 1 for _, n_betas, _ in parts), (b, level)
+                assert [i for i, _, _ in parts] == list(range(parts[0][0],
+                                                              parts[0][0] + len(parts)))
+                assert all(run.size == _TAU_BLOCK for _, _, run in parts[:-1]), (b, level)
+        assert pieces >= 2
         assert picks.tolist() == [_scan_peak(params, trunc, betas[i:i + 1], ns[i:i + 1],
                                              0.5)[0] for i in range(betas.size)]
+
+    def test_fig2_scan_evaluates_each_delay_once(self, params, monkeypatch):
+        # fig2's 501 betas: the nested fill takes under 100,000 scan rows (one
+        # level of whole-gap fills took 192,952), and no grid delay twice
+        taus = {}  # beta: its scan's delays, call by call
+        scan, rates = analysis._scan_peak, analysis.comb_rates
+        scanning = []
+
+        def spying_scan(*args):
+            scanning.append(True)
+            try:
+                return scan(*args)
+            finally:
+                scanning.pop()
+
+        def spying_rates(params, trunc, betas, counts, delays):
+            if scanning:
+                for b, run in zip(np.asarray(betas).tolist(),
+                                  np.split(delays, np.cumsum(counts)[:-1])):
+                    taus.setdefault(b, []).append(run)
+            return rates(params, trunc, betas, counts, delays)
+
+        monkeypatch.setattr(analysis, "_scan_peak", spying_scan)
+        monkeypatch.setattr(analysis, "comb_rates", spying_rates)
+        sweep = sweep_beta(params, 2.0, 48.0, 53.0, 0.01)
+        assert sorted(taus) == sweep.beta_values.tolist()
+        assert sum(run.size for runs in taus.values() for run in runs) <= 100_000
+        for runs in taus.values():
+            delays = np.concatenate(runs)
+            assert np.unique(delays).size == delays.size
 
     def test_fill_pieces_are_whole_comb_blocks(self):
         # so a fill split into pieces keeps the comb blocks of the unsplit fill

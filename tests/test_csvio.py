@@ -1,6 +1,13 @@
-"""The numpy CSV renderer against format_number, value by value."""
+"""The numpy CSV renderer against format_number, value by value, and how a file is written."""
 
 import math
+import os
+import resource
+import signal
+import stat
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -114,3 +121,57 @@ class TestOtherColumns:
         with pytest.raises(ValueError, match="length 2 != 3"):
             write_csv(out, {}, [("x", np.zeros(3)), ("y", np.zeros(2))])
         assert not out.exists()
+
+
+class TestReplacingWrite:
+    """A CSV goes to a new file that then takes the target's place."""
+
+    def test_failed_write_leaves_the_target_as_it_was(self, tmp_path):
+        # a 100,000 B file-size limit, in the child alone, fails the write
+        # part way (EFBIG, with SIGXFSZ ignored); the target keeps its bytes
+        # and no partial file is left beside it
+        target = tmp_path / "curve.csv"
+        target.write_bytes(b"old bytes\n")
+
+        def limit_file_size():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (100_000, 100_000))
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+
+        proc = subprocess.run([sys.executable, "-m", "pdcshape", "curve", "--points", "100001",
+                               "--out", str(target)], preexec_fn=limit_file_size,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr == "error: [Errno 27] File too large\n"
+        assert target.read_bytes() == b"old bytes\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["curve.csv"]
+
+    def test_new_file_has_the_mode_of_a_plain_open(self, tmp_path):
+        plain = tmp_path / "plain.csv"
+        plain.open("wb").close()
+        write_csv(tmp_path / "x.csv", {}, [("x", np.zeros(3))])
+        assert stat.S_IMODE((tmp_path / "x.csv").stat().st_mode) == stat.S_IMODE(
+            plain.stat().st_mode)
+
+    def test_symlink_target_is_written_through(self, tmp_path):
+        real = tmp_path / "real.csv"
+        real.write_bytes(b"old bytes\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(real)
+        write_csv(link, {"a": 1}, [])
+        assert link.is_symlink() and real.read_bytes() == b"# a = 1\n\n"
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "out.csv"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+        reader.start()
+        write_csv(fifo, {"a": 1}, [("x", np.array([1.0]))])
+        reader.join(timeout=10)
+        assert got == [b"# a = 1\nx\n1.00000000e+00\n"]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_dev_null_is_written_in_place(self, capsys):
+        assert main(["curve", "--points", "3", "--out", os.devnull]) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)

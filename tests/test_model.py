@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,14 @@ from pdcshape import (
     truncation_for,
 )
 from pdcshape import model
-from pdcshape.model import _FLUSH, _TAU_BLOCK, amplitude_comb, comb_rates, series_halfwidth
+from pdcshape.model import (
+    _FLUSH,
+    _TAU_BLOCK,
+    amplitude_comb,
+    comb_rates,
+    pump_phase,
+    series_halfwidth,
+)
 from pdcshape.quadrature import VALIDATION_DEPTHS
 
 
@@ -96,6 +104,60 @@ class TestPumpFrequency:
                                  params.emission_angle)
         assert pump_angular_frequency(doubled) == pytest.approx(
             pump_angular_frequency(params) / 2, rel=1e-15)
+
+
+class TestPumpPhase:
+    """pump_phase over an array is math.remainder(0.5 beta omega0, 2 pi), bit for bit."""
+
+    @staticmethod
+    def assert_is_remainder(params, betas):
+        omega0 = pump_angular_frequency(params)
+        want = [math.remainder(0.5 * b * omega0, 2.0 * math.pi) for b in betas.tolist()]
+        got = pump_phase(params, betas)
+        assert got.shape == betas.shape
+        assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))  # -0.0 too
+
+    def test_random_betas(self, params):
+        rng = np.random.default_rng(11)
+        betas = np.concatenate([rng.uniform(0.0, 2000.0, 5000),
+                                10.0 ** rng.uniform(-320.0, 300.0, 5000),
+                                -(10.0 ** rng.uniform(-320.0, 300.0, 500)),
+                                [0.0, -0.0, 5e-324, 1e300]])
+        self.assert_is_remainder(params, betas)
+
+    def test_multiples_of_pi_and_ties(self, params):
+        # omega0 = 2 exactly, so theta = beta: k pi and 2^j pi are multiples of
+        # pi and 2 pi (theta 0.0 or -0.0), and the odd ones with k < 8 are exact,
+        # so they reduce to the tie r = pi, which rounds to the even multiple
+        pump = PhysicalParams(1000.0, params.group_velocity, params.beam_param,
+                              params.emission_angle, light_speed=1e9 / math.pi)
+        assert pump_angular_frequency(pump) == 2.0
+        pis = [k * math.pi for k in range(-15, 16)] + [2.0**j * math.pi for j in range(1, 60, 7)]
+        betas = np.array(pis + [-b for b in pis[-9:]])
+        ties = np.fmod(np.abs(betas), 2.0 * math.pi) == math.pi
+        assert np.count_nonzero(ties) >= 8
+        self.assert_is_remainder(pump, betas)
+        for beta in (3.0 * math.pi, -5.0 * math.pi, -0.0):  # a float in, a float out
+            assert math.copysign(1.0, pump_phase(pump, beta)) == math.copysign(
+                1.0, math.remainder(beta, 2.0 * math.pi))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("betas,max_order,beta", [
+        ([1.0, 1.5, 2.0, 1e10, 3.0], 31, "2"),  # 31 theta overflows from beta ~ 1.85 fs
+        ([10.0, 1e308, 60.0], 1, "1e+308"),  # theta itself overflows
+        ([1e10], 31, "1e+10"),
+        (5.0, 31, "5"),
+    ])
+    def test_first_overflowing_twist_refused(self, params, betas, max_order, beta):
+        # omega0 = 2 pi 1e306 rad/fs at 1e-12 nm and a light speed of 1e300 m/s
+        pump = PhysicalParams(1e-12, params.group_velocity, params.beam_param,
+                              params.emission_angle, light_speed=1e300)
+        with pytest.raises(ParameterError) as err:
+            pump_phase(pump, np.array(betas) if isinstance(betas, list) else betas, max_order)
+        assert str(err.value) == (
+            f"the pump twist M*beta*omega0/2 at M = {max_order}, beta = {beta} fs, omega0 = "
+            f"{pump_angular_frequency(pump):g} rad/fs is not finite; lower beta or the pump "
+            "frequency")
 
 
 class TestTruncation:
@@ -275,6 +337,30 @@ class TestBlockedComb:
         runs = [rng.uniform(-3000, 3000, size) for size in
                 (9, 1, 0, 130, 9, 2 * _TAU_BLOCK + 5, 0, 700)]
         got = amplitude_comb(params, trunc, betas, [r.size for r in runs], np.concatenate(runs))
+        want = [one_run(params, CosinePhaseFilter(10.0, b), trunc, r)
+                for b, r in zip(betas, runs)]
+        assert np.array_equal(got, np.concatenate(want))
+
+    def test_stacked_blocks_read_their_own_values(self, params, monkeypatch):
+        # consecutive blocks of a batch with equal rows and width take one stacked
+        # matmul: 9-delay runs of equal width (every order is within reach), a
+        # width change (beta 700), a 1-delay and an empty run, and a run of
+        # several blocks whose last block shares a batch with 9-delay runs
+        trunc = truncation_for(CosinePhaseFilter(10.0, 0.0))
+        rng = np.random.default_rng(9)
+        betas = [50.0, 51.0, 52.0, 53.0, 700.0, 54.0, 55.0, 56.0, 0.0, 57.0, 300.0,
+                 58.0, 59.0, 60.0]
+        sizes = [9, 9, 9, 9, 9, 9, 1, 0, 9, 9, 2 * _TAU_BLOCK + 5, 9, 9, 9]
+        runs = [rng.uniform(-300.0, 300.0, n) for n in sizes]
+        matmul, stacked = np.matmul, []
+
+        def spying(a, b, **kwargs):
+            stacked.append(np.ndim(a) == 3)
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spying)
+        got = amplitude_comb(params, trunc, betas, sizes, np.concatenate(runs))
+        assert stacked.count(True) >= 2  # both batches of 9-delay runs are stacked
         want = [one_run(params, CosinePhaseFilter(10.0, b), trunc, r)
                 for b, r in zip(betas, runs)]
         assert np.array_equal(got, np.concatenate(want))
