@@ -153,10 +153,11 @@ def _scan_peak(params: PhysicalParams, trunc: SeriesTruncation, betas: np.ndarra
     # of those within a tie of its final best
     cand = []
 
-    def sample(p, q, run, k, w, step, first, count):
+    def sample(run, k, w, step, first, count):
         # the rates at rows min(k + j step, k + w), first <= j < first + count,
-        # of segments (beta run, rows k .. k + w) of betas p .. q - 1, segment
-        # by segment, in pieces of _SCAN_ROWS rows (so one beta, or fewer rows)
+        # of segments (beta run, rows k .. k + w), segment by segment, in
+        # pieces of _SCAN_ROWS rows (so one beta, or fewer rows); each comb
+        # call carries only the betas with rows in its piece
         last = np.cumsum(count)  # one past each segment's last row
         ys = []
         for lo in range(0, last[-1], _SCAN_ROWS):
@@ -164,8 +165,9 @@ def _scan_peak(params: PhysicalParams, trunc: SeriesTruncation, betas: np.ndarra
             g = np.searchsorted(last, row, side="right")
             kr = np.minimum(k[g] + (row - last[g] + count[g] + first) * step[g], k[g] + w[g])
             r = run[g]
-            y = comb_rates(params, trunc, betas[p:q], np.bincount(r - p, minlength=q - p),
-                           kr * grid_step)
+            rows = np.bincount(r - r[0])  # r is sorted
+            runs = np.flatnonzero(rows)
+            y = comb_rates(params, trunc, betas[r[0] + runs], rows[runs], kr * grid_step)
             np.maximum.at(top, r, y)
             keep = y >= top[r] - _RATE_TIE
             cand.append((kr[keep], y[keep], r[keep]))
@@ -206,7 +208,7 @@ def _scan_peak(params: PhysicalParams, trunc: SeriesTruncation, betas: np.ndarra
             a, b = np.searchsorted(run, [p, q])
             if a == b:
                 continue
-            y = sample(p, q, *(x[a:b] for x in (run, k, w, step)), 1, inner[a:b])
+            y = sample(*(x[a:b] for x in (run, k, w, step)), 1, inner[a:b])
             split = step[a:b] > 1  # gaps wider than 8, whose sub-gaps can pass
             if split.any():
                 # each one's two ends and its rows are the points of its sub-gaps
@@ -223,7 +225,7 @@ def _scan_peak(params: PhysicalParams, trunc: SeriesTruncation, betas: np.ndarra
     s, counts = _coarse_grid(T, ns, grid_step)
     for p, q in _batches(counts, _SCAN_ROWS):
         coarse = (np.arange(p, q), -ns[p:q], 2 * ns[p:q], s[p:q])
-        fill(*kept(*coarse, sample(p, q, *coarse, 0, counts[p:q])))
+        fill(*kept(*coarse, sample(*coarse, 0, counts[p:q])))
     k, y, r = (np.concatenate(c) for c in zip(*cand))
     return k[_pick(r, k * grid_step, y, betas.size)]
 

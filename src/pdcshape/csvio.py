@@ -5,10 +5,11 @@ Python's `'%.8e' %` renders them; other data cells are rendered as `str()`
 would; metadata floats use repr so a run can be reconstructed bit-exactly
 from the header.  Rewriting the same result produces identical bytes.
 
-The body is rendered in numpy, `_ROW_CHUNK` rows at a time.  Each column
-becomes an (n, k) array of little-endian 8-byte words, each row one field
-padded with NUL bytes; the last byte of a field's last word takes the ','
-or '\\n' that follows it, and one mask drops the NULs of the whole block.
+The body is rendered in numpy, `_ROW_CHUNK` rows at a time, into one array
+of little-endian 8-byte words per block: each column writes its field, NUL
+padded, straight into its own words of each row (a float's two, with a
+third for the separator), the last byte of a field's last word takes the
+',' or '\\n' that follows it, and `bytes.translate` drops the block's NULs.
 
 A float's exponent e is floor(log10|x|), its 9-digit mantissa |x| / 10^(e-8)
 rounded to an integer, and a mantissa that rounds to 10^9 carries into the
@@ -31,8 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-# Rows rendered per block, so that only this many rows of fields exist at once.
-_ROW_CHUNK = 1024
+# Rows per block: only this many rows of fields exist at once (8,192 raised peak RSS).
+_ROW_CHUNK = 4096
 
 
 def _words(texts: list[str]) -> np.ndarray:
@@ -40,19 +41,19 @@ def _words(texts: list[str]) -> np.ndarray:
     return np.array(texts, dtype="S8").view("<u8")
 
 
-# _POW10 and _EXP hold power of ten k at k + _BIAS: the fast path needs
-# |k| <= 300, where 10^k is normal
+# _SCALE holds 10^(k-8), correctly rounded, and _EXP the bytes of exponent
+# k, at k + _BIAS: the fast path needs |k| <= 300, where both are normal
 _BIAS = 300
-_POW10 = np.array([float(f"1e{k}") for k in range(-_BIAS, _BIAS + 1)])  # correctly rounded
+_SCALE = np.array([float(f"1e{k - 8}") for k in range(-_BIAS, _BIAS + 1)])
 # A float field is two words: bytes 0-7 hold the sign (or NUL), the leading
 # digit, '.' and mantissa digits 1-5; bytes 8-15 hold digits 6-8 and the
 # exponent.  Each table maps a 3-digit group of the 9-digit mantissa, or an
-# exponent, to its bytes in place, so a field is one OR of table entries.
-_LEAD = _words([f"\0{g // 100}.{g % 100:02d}" for g in range(1000)])
+# exponent, to its bytes in place, so a field is one OR of table entries;
+# _LEAD's second thousand entries carry the minus sign.
+_LEAD = _words([f"{c}{g // 100}.{g % 100:02d}" for c in "\0-" for g in range(1000)])
 _MID = _words([f"\0\0\0\0\0{g:03d}" for g in range(1000)])
 _TAIL = _words([f"{g:03d}" for g in range(1000)])
 _EXP = _words([f"\0\0\0e{e:+03d}" for e in range(-_BIAS, _BIAS + 1)])
-_MINUS = _words(["-"])[0]
 # OR-ed into the top byte of a field's last word, which is always NUL
 _COMMA, _NEWLINE = (np.uint64(ord(c)) << np.uint64(56) for c in ",\n")
 
@@ -65,50 +66,49 @@ def _meta_str(value) -> str:
     return str(value)
 
 
-def _float_words(x: np.ndarray) -> np.ndarray:
-    """(n, 3) words: each value as `'%.8e' %` renders it, NUL-padded to 24 bytes."""
+def _float_words(x: np.ndarray, out: np.ndarray) -> None:
+    """Each value as `'%.8e' %` renders it, into out's (n, 2) words."""
     a = np.abs(x)
     fast = (a > 1e-290) & (a < 1e290)
-    a = np.where(fast, a, 1.0)
-    e = np.floor(np.log10(a)).astype(np.int64)
-    s = a / _POW10[e - 8 + _BIAS]
+    if not fast.all():
+        a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp) + _BIAS
+    s = a / _SCALE[e]
     m = np.rint(s).astype(np.int64)
-    carry = m == 1_000_000_000
-    m[carry] = 100_000_000
-    e += carry
+    if m.max() == 1_000_000_000:
+        carry = m == 1_000_000_000
+        m[carry] = 100_000_000
+        e += carry
     fast &= np.abs(s - np.floor(s) - 0.5) >= 1e-6
-
-    words = np.zeros((len(x), 3), dtype="<u8")
     thousands = m // 1000
-    words[:, 0] = _LEAD[thousands // 1000] | _MID[thousands % 1000]
-    words[:, 0] |= np.where(x < 0, _MINUS, 0)
-    words[:, 1] = _TAIL[m % 1000] | _EXP[e + _BIAS]
+    lead = thousands // 1000
+    mid = thousands - 1000 * lead
+    neg = x < 0
+    if neg.any():
+        lead += 1000 * neg
+    np.bitwise_or(_LEAD[lead], _MID[mid], out=out[:, 0])
+    np.bitwise_or(_TAIL[m - 1000 * thousands], _EXP[e], out=out[:, 1])
     slow = np.flatnonzero(~fast)
     if len(slow):
         text = np.array(["%.8e" % v for v in x[slow].tolist()], dtype="S16")
-        words[slow, :2] = text.view("<u8").reshape(len(slow), 2)
-    return words
-
-
-def _text_words(values: np.ndarray) -> np.ndarray:
-    """(n, k) words: each value as str() renders it, NUL-padded, the last byte NUL."""
-    text = values.astype("S")
-    width = text.dtype.itemsize
-    fields = np.zeros((len(values), width // 8 * 8 + 8), dtype=np.uint8)
-    fields[:, :width] = text.view(np.uint8).reshape(len(values), width)
-    return fields.view("<u8")
+        out[slow] = text.view("<u8").reshape(len(slow), 2)
 
 
 def _render_body(arrays: list[np.ndarray]) -> bytes:
     """One block of rows: the columns' fields, joined with ',' and '\\n', NULs dropped."""
-    columns = [_float_words(a.astype(np.float64, copy=False)) if a.dtype.kind == "f"
-               else _text_words(a) for a in arrays]
-    words = np.concatenate(columns, axis=1)
-    ends = np.cumsum([c.shape[1] for c in columns]) - 1
-    words[:, ends[:-1]] |= _COMMA
-    words[:, ends[-1]] |= _NEWLINE
-    body = words.view(np.uint8).ravel()
-    return body[body != 0].tobytes()
+    cells = [a if a.dtype.kind == "f" else a.astype("S") for a in arrays]
+    widths = [3 if c.dtype.kind == "f" else c.itemsize // 8 + 1 for c in cells]
+    ends = np.cumsum(widths)
+    words = np.zeros((len(cells[0]), ends[-1]), dtype="<u8")
+    for c, width, end in zip(cells, widths, ends):
+        if c.dtype.kind == "f":
+            _float_words(c.astype(np.float64, copy=False), words[:, end - 3:end - 1])
+        else:  # str()'s bytes, NUL-padded; the last byte stays NUL
+            words[:, end - width:end].view(np.uint8)[:, :c.itemsize] = (
+                c.view(np.uint8).reshape(len(c), c.itemsize))
+    words[:, ends[:-1] - 1] |= _COMMA
+    words[:, -1] |= _NEWLINE
+    return words.tobytes().translate(None, b"\0")
 
 
 @contextlib.contextmanager

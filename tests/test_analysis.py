@@ -390,6 +390,25 @@ class TestScanBatches:
             delays = np.concatenate(runs)
             assert np.unique(delays).size == delays.size
 
+    @pytest.mark.parametrize("search", [
+        lambda params: sweep_beta(params, 2.0, 48.0, 53.0, 0.01),
+        lambda params: sweep_beta(params, 10.0, 299.0, 302.0, 0.5),
+        lambda params: find_tau_max(params, CosinePhaseFilter(10.0, 300.0)),
+    ], ids=["fig2-sweep", "depth10-sweep", "one-beta"])
+    def test_no_comb_call_carries_an_empty_run(self, params, monkeypatch, search):
+        # a beta with no delays in a call would have its pump phase reduced
+        # and an empty run laid out for nothing
+        counts = []
+        rates = analysis.comb_rates
+
+        def spying(params, trunc, betas, run_counts, taus):
+            counts.append(np.asarray(run_counts))
+            return rates(params, trunc, betas, run_counts, taus)
+
+        monkeypatch.setattr(analysis, "comb_rates", spying)
+        search(params)
+        assert counts and all(c.size and c.min() > 0 for c in counts)
+
     def test_fill_pieces_are_whole_comb_blocks(self):
         # so a fill split into pieces keeps the comb blocks of the unsplit fill
         assert analysis._SCAN_ROWS % _TAU_BLOCK == 0
