@@ -27,6 +27,7 @@ from .model import (
     series_halfwidth,
     truncation_for,
     window_halfcount,
+    within_cap,
 )
 
 _RATE_TIE = 1e-12  # rates closer than this are treated as tied
@@ -98,18 +99,6 @@ def _require_resolution(step: float, T: float) -> None:
     """Refuse a delay grid too coarse to resolve the correlation time T."""
     if step > T / 20.0:
         raise ResolutionError(f"grid step {step:g} fs is coarser than T/20 = {T / 20.0:g} fs")
-
-
-def _scan_size(params: PhysicalParams, filt: CosinePhaseFilter, trunc: SeriesTruncation,
-               search_halfwidth: float | None, grid_step: float) -> int:
-    """The n of filt's scan grid k*grid_step, |k| <= n, held to the cell cap as if all of it
-    were evaluated, its worst case (`tau-max --alpha 2 --beta 1000` has 65,177 x 31 cells)."""
-    if search_halfwidth is None:
-        search_halfwidth = series_halfwidth(params, filt, trunc)
-    if search_halfwidth <= grid_step:
-        raise ParameterError("search_halfwidth must exceed grid_step")
-    return window_halfcount("the peak scan", search_halfwidth, grid_step, trunc,
-                            "shrink the search window")
 
 
 def _coarse_grid(T: float, ns: np.ndarray, grid_step: float) -> tuple[np.ndarray, np.ndarray]:
@@ -301,15 +290,16 @@ def _search(params: PhysicalParams, alpha: float, betas: np.ndarray,
             trunc_tol: float) -> np.ndarray:
     """find_tau_max at each of betas, as rows tau_max, rate_at_max, refinement_width.
 
-    Every beta is sized before any is searched: its scan window (_scan_size)
-    and its pump twist (pump_phase), the refusals a search meets before it
-    evaluates anything.  The windows go in beta order and the twists in one
-    call, those before a refused window first, so the first refusal, in beta
-    order and window before twist, is the one a search per beta would meet,
-    and no comb is evaluated before it.  The betas are then searched in
-    lockstep (_peak_search), in the consecutive groups of _SCAN_ROWS.  Each beta is a comb_rates run of its own, cut into
-    blocks from its own start, so its values are those of its search alone,
-    bit for bit.
+    Every beta is sized before any is searched, in array steps: its scan
+    window k*grid_step, |k| <= n; its 2n + 1 delays against the cell cap, as
+    if all were evaluated (`tau-max --alpha 2 --beta 1000`: 65,177 x 31); and
+    the pump twists of the betas before the first window over the cap, which
+    is refused after them.  So the first refusal, in beta order and window
+    before twist, is the one a search per beta would meet, and no comb is
+    evaluated before it.  The betas are then searched in lockstep
+    (_peak_search), in the consecutive groups of _SCAN_ROWS.  Each beta is a
+    comb_rates run of its own, cut into blocks from its own start, so its
+    values are those of its search alone, bit for bit.
     """
     trunc = truncation_for(CosinePhaseFilter(alpha, 0.0), trunc_tol)
     if not 0 < grid_step <= 1.0:
@@ -318,15 +308,20 @@ def _search(params: PhysicalParams, alpha: float, betas: np.ndarray,
         raise ParameterError("refine_tol must be in (0, 0.01] fs")
     T = characteristic_time(params)
     _require_resolution(grid_step, T)
-    ns = np.empty(betas.size, dtype=np.int64)
-    for i, beta in enumerate(betas.tolist()):
-        try:
-            ns[i] = _scan_size(params, CosinePhaseFilter(alpha, beta), trunc,
-                               search_halfwidth, grid_step)
-        except ParameterError:
-            pump_phase(params, betas[:i], trunc.max_order)  # an earlier beta's twist first
-            raise
-    pump_phase(params, betas, trunc.max_order)
+    if search_halfwidth is not None and search_halfwidth <= grid_step:
+        raise ParameterError("search_halfwidth must exceed grid_step")
+    # an overflow is an inf window, refused below (an inf beta at M = 0 a NaN one)
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = (series_halfwidth(params, trunc, betas) if search_halfwidth is None
+                else np.full(betas.size, float(search_halfwidth)))
+        n = np.ceil(half / grid_step)
+        over = np.flatnonzero(~within_cap(2.0 * n + 1.0, trunc))
+    first = over[0] if over.size else betas.size
+    pump_phase(params, betas[:first], trunc.max_order)
+    if over.size:  # raises; half a Python float, whose division cannot warn
+        window_halfcount("the peak scan", float(half[first]), grid_step, trunc,
+                         "shrink the search window")
+    ns = n.astype(np.int64)
     found = np.empty((3, betas.size))
     for p, q in _batches(_coarse_grid(T, ns, grid_step)[1], _SCAN_ROWS):
         found[:, p:q] = _peak_search(params, trunc, betas[p:q], ns[p:q], grid_step, refine_tol)
@@ -387,22 +382,17 @@ def oscillation_period(sweep: SweepResult) -> float:
     samples; spacings between successive up-crossings and successive
     down-crossings are pooled and averaged.
     """
-    x = sweep.beta_values
-    y = sweep.tau_max_values
-    nz = np.nonzero(y != 0.0)[0]
-    crossings: list[tuple[float, int]] = []
-    if nz.size >= 2:
-        s = np.sign(y[nz])
-        for k in np.nonzero(s[:-1] * s[1:] < 0)[0]:
-            i, j = int(nz[k]), int(nz[k + 1])
-            xc = x[i] - y[i] * (x[j] - x[i]) / (y[j] - y[i])
-            crossings.append((float(xc), int(s[k + 1])))
-    if len(crossings) < 3:
+    x, y = sweep.beta_values, sweep.tau_max_values
+    nz = np.flatnonzero(y != 0.0)
+    s = np.sign(y[nz])
+    k = np.flatnonzero(s[:-1] * s[1:] < 0)
+    i, j = nz[k], nz[k + 1]
+    crossings = x[i] - y[i] * (x[j] - x[i]) / (y[j] - y[i])
+    if crossings.size < 3:
         raise InsufficientDataError(
-            f"found {len(crossings)} zero crossings, need at least 3 for a period estimate")
-    ups = np.array([c for c, d in crossings if d > 0])
-    downs = np.array([c for c, d in crossings if d < 0])
-    spacings = np.concatenate([np.diff(ups), np.diff(downs)])
+            f"found {crossings.size} zero crossings, need at least 3 for a period estimate")
+    up = s[k + 1] > 0
+    spacings = np.concatenate([np.diff(crossings[up]), np.diff(crossings[~up])])
     return float(np.mean(spacings))
 
 

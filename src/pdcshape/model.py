@@ -259,10 +259,10 @@ def _truncation(depth: float, tol: float) -> SeriesTruncation:
         n = min(2 * n, MAX_ORDER)
 
 
-def series_halfwidth(params: PhysicalParams, filt: CosinePhaseFilter,
-                     trunc: SeriesTruncation) -> float:
-    """Half-width in fs of the delay window that holds every lobe of the series."""
-    return trunc.max_order * filt.mod_frequency + 5.0 * characteristic_time(params)
+def series_halfwidth(params: PhysicalParams, trunc: SeriesTruncation, beta):
+    """Half-width in fs of the delay window that holds every lobe of the series at
+    mod_frequency beta (a float, or an array of them)."""
+    return trunc.max_order * beta + 5.0 * characteristic_time(params)
 
 
 def _batches(sizes, limit: int):
@@ -401,14 +401,18 @@ def count_rate(params: PhysicalParams, filt: CosinePhaseFilter,
     return float(rates) if rates.ndim == 0 else rates
 
 
+def within_cap(delays, trunc: SeriesTruncation):
+    """Whether delays (floats, an inf or NaN failing) x the 2M + 1 orders fit the cell cap."""
+    return delays * (2 * trunc.max_order + 1) <= _MAX_COMB_CELLS
+
+
 def require_cells(what: str, delays: float, trunc: SeriesTruncation, remedy: str) -> None:
     """Refuse delays x the 2M + 1 orders over the cell cap; delays may be a float, even inf."""
-    orders = 2 * trunc.max_order + 1
-    cells = delays * orders
-    if not cells <= _MAX_COMB_CELLS:
+    if not within_cap(delays, trunc):
+        orders = 2 * trunc.max_order + 1
         raise ParameterError(
-            f"{what} needs {delays:.12g} delays x {orders} series orders = {cells:.3g} cells, "
-            f"over the cap of {_MAX_COMB_CELLS}; {remedy}")
+            f"{what} needs {delays:.12g} delays x {orders} series orders = {delays * orders:.3g} "
+            f"cells, over the cap of {_MAX_COMB_CELLS}; {remedy}")
 
 
 def require_curve_cells(first: float, last: float, delays: int, trunc: SeriesTruncation) -> None:
@@ -419,8 +423,9 @@ def require_curve_cells(first: float, last: float, delays: int, trunc: SeriesTru
 def window_halfcount(what: str, half: float, step: float, trunc: SeriesTruncation,
                      remedy: str) -> int:
     """The n of the symmetric grid k*step, |k| <= n = ceil(half/step), once require_cells
-    passes its 2n + 1 delays; n stays a float until then, so an inf is refused, not converted."""
-    n = np.ceil(half / step)
+    passes its 2n + 1 delays; n stays a Python float until then (half is one too), so an
+    inf is refused, not converted, and an overflow is quiet, where numpy's would warn."""
+    n = float(np.ceil(half / step))
     require_cells(f"{what} over +-{half:g} fs in {step:g} fs steps", 2.0 * n + 1.0, trunc, remedy)
     return int(n)
 

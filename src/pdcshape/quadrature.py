@@ -80,8 +80,8 @@ class QuadratureSettings:
     rel_tolerance: float = 1e-11
 
     def __post_init__(self) -> None:
-        if not self.halfwidth_folds > 0:
-            raise ParameterError("halfwidth_folds must be > 0")
+        if not 0 < self.halfwidth_folds < math.inf:
+            raise ParameterError("halfwidth_folds must be finite and > 0")
         if self.initial_points < 64:
             raise ParameterError("initial_points must be >= 64")
         if self.max_points < self.initial_points:
@@ -280,6 +280,8 @@ def _amplitude_grid(params: PhysicalParams, filt: CosinePhaseFilter, taus: np.nd
     halving check's worst relative difference as a 1-tuple).
     """
     taus = np.asarray(taus, dtype=float)
+    if not np.isfinite(taus).all():
+        raise ParameterError("tau_grid must be finite")
     T = characteristic_time(params)
     nu_max = nu_halfwidth(params, settings)
     # the check's floor: the depth-0 peak integral, so near-zero tails are
@@ -362,7 +364,8 @@ def _comparison_halfcount(params: PhysicalParams, filt: CosinePhaseFilter,
                           trunc_tol: float) -> int:
     """n of comparison_grid's 2n + 1 delays; ParameterError if the grid is over the cap."""
     trunc = truncation_for(filt, trunc_tol)
-    return window_halfcount("the comparison grid", series_halfwidth(params, filt, trunc),
+    return window_halfcount("the comparison grid",
+                            series_halfwidth(params, trunc, filt.mod_frequency),
                             COMPARISON_SPACING, trunc, "use a shorter correlation time")
 
 

@@ -35,7 +35,6 @@ from pdcshape.analysis import (
     _pick,
     _prominences,
     _scan_peak,
-    _scan_size,
 )
 from pdcshape.model import _TAU_BLOCK
 
@@ -189,8 +188,7 @@ class TestLockstepSearch:
 
     @staticmethod
     def windows(params, trunc, betas, grid_step):
-        return np.array([_scan_size(params, CosinePhaseFilter(trunc.depth, float(b)), trunc,
-                                    None, grid_step) for b in betas])
+        return np.ceil(model.series_halfwidth(params, trunc, betas) / grid_step).astype(np.int64)
 
     @settings(max_examples=10, deadline=None)
     @given(start=st.one_of(st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 990.0)),
@@ -265,6 +263,14 @@ class TestLockstepSearch:
             sweep_beta(pump, 2.0, 0.0, 9000.0, 1000.0)
         with pytest.raises(ParameterError, match="shrink the search window"):
             sweep_beta(params, 2.0, 9000.0, 9500.0, 100.0)
+        # and the other way: here the twist overflows between 11,000 and 12,000 fs,
+        # so the window over the cap at 9,000 fs comes first
+        pump = PhysicalParams(3e-9, params.group_velocity, params.beam_param,
+                              params.emission_angle, light_speed=1e300)
+        with pytest.raises(ParameterError, match="shrink the search window"):
+            sweep_beta(pump, 2.0, 8000.0, 12000.0, 1000.0)
+        with pytest.raises(ParameterError, match="pump twist"):
+            find_tau_max(pump, CosinePhaseFilter(2.0, 12000.0), search_halfwidth=100.0)
 
     def test_refused_before_any_beta_is_searched(self, params, monkeypatch):
         # the scan is over the cell cap from ~8,934 fs: the betas below it are
@@ -746,7 +752,7 @@ class TestMetamorphic:
         # a phase-only filter keeps the integral T sqrt(pi/2); the series' own
         # truncation may move it by up to trunc_tol = 1e-12 relative
         filt = CosinePhaseFilter(alpha, beta)
-        half = model.series_halfwidth(params, filt, truncation_for(filt)) + 2.0 * T
+        half = model.series_halfwidth(params, truncation_for(filt), beta) + 2.0 * T
         curve = sample_curve(params, filt, uniform_grid(half, T / 8.0), method=method)
         assert total_coincidence_integral(curve) == pytest.approx(T * math.sqrt(math.pi / 2.0),
                                                                   rel=1e-12)

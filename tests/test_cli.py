@@ -347,9 +347,16 @@ class TestExitCodes:
         (["sweep-beta", "--alpha", "2", "--beta-start", "1e16",
           "--beta-end", "10000000000000008", "--beta-step", "0.5"], "search_halfwidth = 1000\n",
          "beta_values must be strictly increasing"),
+        # M beta, or the scan window's 2n + 1 delays, overflows: refused with no RuntimeWarning
+        (["tau-max", "--beta", "1e308"], None, "the peak scan over +-inf fs"),
+        (["sweep-beta", "--beta-start", "1e307", "--beta-end", "1.5e307", "--beta-step", "1e306"],
+         None, "the peak scan over +-1.5e+308 fs"),
+        (["tau-max"], "search_halfwidth = 1e308\ngrid_step = 1\n",
+         "the peak scan over +-1e+308 fs in 1 fs steps needs inf delays"),
     ], ids=["bad-float", "bad-choice", "unknown-flag", "no-command", "bad-command",
             "negative-exponent", "config-method", "config-no-equals", "empty-window",
-            "one-point", "zero-light-speed", "zero-beta-step", "beta-below-float-spacing"])
+            "one-point", "zero-light-speed", "zero-beta-step", "beta-below-float-spacing",
+            "overflowing-beta", "overflowing-sweep", "overflowing-window"])
     def test_argparse_refusal_is_one_error_line(self, tmp_path, monkeypatch, capsys, argv,
                                                 config, message):
         monkeypatch.chdir(tmp_path)  # where a command that is not refused would write

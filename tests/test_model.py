@@ -429,7 +429,7 @@ class TestBlockedComb:
         # a dense comb over these 100,000 delays x 63 orders traces ~203 MB
         filt = CosinePhaseFilter(10.0, 713.0)
         trunc = truncation_for(filt)
-        half = series_halfwidth(params, filt, trunc)
+        half = series_halfwidth(params, trunc, filt.mod_frequency)
         taus = np.linspace(-half, half, 100_000)
         tracemalloc.start()
         try:
@@ -536,6 +536,12 @@ class TestSampleCurve:
     def test_empty_grid_rejected(self, params, no_filter):
         with pytest.raises(ParameterError):
             sample_curve(params, no_filter, np.array([]))
+
+    @pytest.mark.parametrize("method", ["series", "quadrature"])
+    @pytest.mark.parametrize("delay", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grid_rejected(self, params, standard_filter, method, delay):
+        with pytest.raises(ParameterError, match="tau_grid must be finite"):
+            sample_curve(params, standard_filter, np.array([0.0, delay]), method=method)
 
     def test_unsorted_grid_rejected(self, params, no_filter):
         with pytest.raises(ParameterError):

@@ -183,7 +183,7 @@ class TestStripBound:
         # any uniform grid inside the series half-width M beta + 5T, any least window
         # and tolerance: the step's and the window's bounds leave the one check passing
         filt = CosinePhaseFilter(depth, mod_frequency)
-        half = series_halfwidth(params, filt, truncation_for(filt))
+        half = series_halfwidth(params, truncation_for(filt), mod_frequency)
         taus = np.linspace(first * half, last * half, count)
         quad = QuadratureSettings(halfwidth_folds=folds, rel_tolerance=rel_tolerance)
         values, _, n, history = _amplitude_grid(params, filt, taus, quad)
@@ -218,6 +218,15 @@ class TestUniformGrid:
         assert "np.float64(" not in str(refused.value)  # plain floats
         with pytest.raises(ParameterError, match="uniform delay grid"):
             sample_curve(params, standard_filter, taus, method="quadrature")
+
+    def test_decreasing_grid_answered_and_non_finite_refused(self, params, standard_filter):
+        # a decreasing grid is uniform too; a delay that is not finite is refused
+        # before anything is sized, as the series route refuses it
+        report = compare_methods(params, standard_filter, np.linspace(600.0, -600.0, 121))
+        assert report.max_abs_diff <= 1e-13
+        for delay in (math.nan, math.inf):
+            with pytest.raises(ParameterError, match="tau_grid must be finite"):
+                compare_methods(params, standard_filter, [0.0, delay])
 
     @given(first=st.floats(min_value=-1.0, max_value=1.0),
            last=st.floats(min_value=-1.0, max_value=1.0),
@@ -254,6 +263,7 @@ class TestConvergence:
 
     @pytest.mark.parametrize("kwargs", [
         dict(halfwidth_folds=0.0),
+        dict(halfwidth_folds=math.inf),
         dict(initial_points=32),
         dict(max_points=128),
         dict(rel_tolerance=0.0),
