@@ -368,6 +368,9 @@ def sweep_beta(params: PhysicalParams, alpha: float, beta_start: float,
             f"a sweep from {beta_start:g} to {beta_end:g} fs in {beta_step:g} fs steps "
             f"needs over {_MAX_SWEEP_STEPS} points; raise beta_step")
     count = int(math.floor(steps + 1e-9)) + 1
+    if not math.isfinite(beta_start + (count - 1) * beta_step):  # Python floats overflow quietly
+        raise ParameterError(f"the sweep's last beta, {beta_start:g} + {count - 1} * "
+                             f"{beta_step:g} fs, overflows")
     betas = beta_start + np.arange(count) * beta_step
     _require_increasing(betas)
     tau_maxes, peak_rates, _ = _search(params, alpha, betas, search_halfwidth, grid_step,

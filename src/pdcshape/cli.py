@@ -99,10 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
-def _out_path(cfg: RunConfig, command: str) -> Path:
-    return Path(cfg.out) if cfg.out is not None else Path(f"{command}.csv")
-
-
 def _curves(cfg: RunConfig, filters: list[CosinePhaseFilter]) -> list[CorrelationCurve]:
     """Each filter's rate curve over cfg's delay grid, by cfg's method, cutoff and quadrature
     settings; every series curve passes the cell cap, in filter order, before the grid is built."""
@@ -123,46 +119,32 @@ def _curve_columns(cfg: RunConfig,
                                                for (label, _), curve in zip(labelled, curves)]
 
 
-def run_command(cfg: RunConfig, command: str) -> int:
-    meta = cfg.metadata()
-    meta["command"] = command
-    out = _out_path(cfg, command)
-
+def _outputs(cfg: RunConfig, command: str, meta: dict, out: Path):
+    """Yield the (path, metadata, columns) of each file the command writes, one at a
+    time: a later file is computed, and meta updated in place for it, only after the
+    earlier ones are written."""
     if command == "params":
         keys = sorted(meta)
-        write_csv(out, meta, [("key", keys),
-                              ("value", [_meta_str(meta[k]) for k in keys])])
-        for k in keys:
-            print(f"{k} = {_meta_str(meta[k])}")
-
+        yield out, meta, [("key", keys), ("value", [_meta_str(meta[k]) for k in keys])]
     elif command == "curve":
-        write_csv(out, meta, _curve_columns(cfg, [("rate", cfg.pair_filter())]))
-
-    elif command == "tau-max":
-        res = analysis.find_tau_max(cfg.params, cfg.pair_filter(),
-                                    search_halfwidth=cfg.search_halfwidth,
-                                    grid_step=cfg.grid_step, refine_tol=cfg.refine_tol,
-                                    trunc_tol=cfg.trunc_tol)
-        write_csv(out, meta, [("beta_fs", np.array([cfg.beta])),
-                              ("tau_max_fs", np.array([res.tau_max])),
-                              ("rate_at_max", np.array([res.rate_at_max]))])
-
-    elif command in ("sweep-beta", "fig2"):
-        sweep = analysis.sweep_beta(cfg.params, cfg.alpha, cfg.beta_start,
-                                    cfg.beta_end, cfg.beta_step,
-                                    search_halfwidth=cfg.search_halfwidth,
-                                    grid_step=cfg.grid_step, refine_tol=cfg.refine_tol,
-                                    trunc_tol=cfg.trunc_tol)
-        write_csv(out, meta, [("beta_fs", sweep.beta_values),
-                              ("tau_max_fs", sweep.tau_max_values),
-                              ("rate_at_max", sweep.rates)])
-
+        yield out, meta, _curve_columns(cfg, [("rate", cfg.pair_filter())])
+    elif command in ("tau-max", "sweep-beta", "fig2"):
+        search = {"search_halfwidth": cfg.search_halfwidth, "grid_step": cfg.grid_step,
+                  "refine_tol": cfg.refine_tol, "trunc_tol": cfg.trunc_tol}
+        if command == "tau-max":
+            res = analysis.find_tau_max(cfg.params, cfg.pair_filter(), **search)
+            found = ([cfg.beta], [res.tau_max], [res.rate_at_max])
+        else:
+            sweep = analysis.sweep_beta(cfg.params, cfg.alpha, cfg.beta_start, cfg.beta_end,
+                                        cfg.beta_step, **search)
+            found = (sweep.beta_values, sweep.tau_max_values, sweep.rates)
+        yield out, meta, [(name, np.asarray(values)) for name, values
+                          in zip(("beta_fs", "tau_max_fs", "rate_at_max"), found)]
     elif command == "lobes":
         (curve,) = _curves(cfg, [cfg.pair_filter()])
         report = analysis.detect_lobes(curve, cfg.min_lobe_height)
-        write_csv(out, meta, [("center_fs", report.centers), ("height", report.heights),
-                              ("prominence", report.prominences)])
-
+        yield out, meta, [("center_fs", report.centers), ("height", report.heights),
+                          ("prominence", report.prominences)]
     elif command == "validate":
         cells = [CosinePhaseFilter(a, b)
                  for a in VALIDATION_DEPTHS for b in VALIDATION_MOD_FREQUENCIES]
@@ -170,42 +152,40 @@ def run_command(cfg: RunConfig, command: str) -> int:
         # over-cap cell is refused at once
         for filt in cells:
             _comparison_halfcount(cfg.params, filt, cfg.trunc_tol)
-        reps = []
-        for filt in cells:
-            grid = comparison_grid(cfg.params, filt, cfg.trunc_tol)
-            reps.append(compare_methods(cfg.params, filt, grid, cfg.quad, cfg.trunc_tol))
-        worst = max(rep.max_abs_diff for rep in reps)
-        write_csv(out, meta, [("alpha", np.array([filt.depth for filt in cells])),
-                              ("beta_fs", np.array([filt.mod_frequency for filt in cells])),
-                              ("max_abs_diff", np.array([rep.max_abs_diff for rep in reps])),
-                              ("tau_at_max_fs", np.array([rep.tau_at_max for rep in reps]))])
-        print(f"wrote {out}")
-        print(f"worst series/quadrature rate difference: {worst:.3e} "
-              f"(tolerance {VALIDATION_TOLERANCE:.0e})")
-        return EXIT_OK if worst <= VALIDATION_TOLERANCE else EXIT_VALIDATION
-
+        reps = [compare_methods(cfg.params, filt, comparison_grid(cfg.params, filt, cfg.trunc_tol),
+                                cfg.quad, cfg.trunc_tol) for filt in cells]
+        yield out, meta, [("alpha", np.array([filt.depth for filt in cells])),
+                          ("beta_fs", np.array([filt.mod_frequency for filt in cells])),
+                          ("max_abs_diff", np.array([rep.max_abs_diff for rep in reps])),
+                          ("tau_at_max_fs", np.array([rep.tau_at_max for rep in reps]))]
     elif command == "fig3":
         for b in (50.0, 53.0):
-            meta_b = dict(meta)
-            meta_b["alpha"] = "0,2,10"
-            meta_b["beta"] = b
-            path = out.with_name(f"{out.stem}_beta{b:g}{out.suffix}")
-            write_csv(path, meta_b, _curve_columns(
-                cfg, [(f"rate_alpha{a:g}", CosinePhaseFilter(a, b)) for a in (0.0, 2.0, 10.0)]))
-            print(f"wrote {path}")
-        return EXIT_OK
-
+            meta.update(alpha="0,2,10", beta=b)
+            yield out.with_name(f"{out.stem}_beta{b:g}{out.suffix}"), meta, _curve_columns(
+                cfg, [(f"rate_alpha{a:g}", CosinePhaseFilter(a, b)) for a in (0.0, 2.0, 10.0)])
     elif command == "fig4":
-        meta_4 = dict(meta)
-        meta_4["beta"] = "50,300,1000"
-        write_csv(out, meta_4, _curve_columns(
-            cfg, [(f"rate_beta{b:g}", CosinePhaseFilter(cfg.alpha, b))
-                  for b in (50.0, 300.0, 1000.0)]))
-
+        meta["beta"] = "50,300,1000"
+        yield out, meta, _curve_columns(cfg, [(f"rate_beta{b:g}", CosinePhaseFilter(cfg.alpha, b))
+                                              for b in (50.0, 300.0, 1000.0)])
     else:  # pragma: no cover - argparse restricts the choices
         raise ParameterError(f"unknown command {command!r}")
 
-    print(f"wrote {out}")
+
+def run_command(cfg: RunConfig, command: str) -> int:
+    meta = cfg.metadata()
+    meta["command"] = command
+    out = Path(cfg.out if cfg.out is not None else f"{command}.csv")
+    for path, file_meta, columns in _outputs(cfg, command, meta, out):
+        write_csv(path, file_meta, columns)
+        if command == "params":
+            for key, value in zip(*(values for _, values in columns)):
+                print(f"{key} = {value}")
+        print(f"wrote {path}")
+    if command == "validate":
+        worst = max(dict(columns)["max_abs_diff"])
+        print(f"worst series/quadrature rate difference: {worst:.3e} "
+              f"(tolerance {VALIDATION_TOLERANCE:.0e})")
+        return EXIT_OK if worst <= VALIDATION_TOLERANCE else EXIT_VALIDATION
     return EXIT_OK
 
 

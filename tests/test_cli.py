@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdcshape import (ConvergenceError, CosinePhaseFilter, ParameterError, csvio, errors, model,
-                      rate_grid)
+from pdcshape import (ConvergenceError, CosinePhaseFilter, ParameterError, cli, csvio, errors,
+                      model, rate_grid)
 from pdcshape.cli import _PRESETS, main
 from pdcshape.config import DEFAULTS, read_config_file, resolve_config
 from pdcshape.quadrature import DeviationReport
@@ -310,6 +310,73 @@ class TestCommands:
         assert np.all(np.isfinite(rates))
         assert np.all((rates >= 0.0) & (rates <= 1.0))
 
+    @pytest.mark.parametrize("argv,echo,written", [
+        (["params"], [
+            "alpha = 2.0", "beta = 50.0", "beta_end = 53.0", "beta_start = 48.0",
+            "beta_step = 0.01", "command = params", "eps_perp_um = 100.0", "grid_step = 0.5",
+            "lambda_nm = 350.0", "light_speed = 300000000.0", "method = series",
+            "min_lobe_height = none", "points = 2401", "quad_folds = 6.0",
+            "quad_initial_points = 1024", "quad_max_points = 1048576", "quad_rel_tol = 1e-11",
+            "refine_tol = 0.01", "search_halfwidth = none", "tau_max = 600.0",
+            "tau_min = -600.0", "theta_deg = 15.0", "trunc_tol = 1e-12", "u = 200000000.0"],
+         ["out.csv"]),
+        (["curve", "--points", "11"], [], ["out.csv"]),
+        (["lobes", "--points", "401"], [], ["out.csv"]),
+        (["tau-max"], [], ["out.csv"]),
+        (["sweep-beta", "--beta-start", "50", "--beta-end", "51", "--beta-step", "0.5"], [],
+         ["out.csv"]),
+        (["fig2"], [], ["out.csv"]),
+        (["fig3", "--points", "201"], [], ["out_beta50.csv", "out_beta53.csv"]),
+        (["fig4", "--points", "201"], [], ["out.csv"]),
+        (["validate"], [], ["out.csv"]),
+    ], ids=["params", "curve", "lobes", "tau-max", "sweep-beta", "fig2", "fig3", "fig4",
+            "validate"])
+    def test_stdout_lines(self, tmp_path, capsys, argv, echo, written):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        if argv[0] == "validate":  # its worst difference follows the wrote line
+            m = re.fullmatch(r"worst series/quadrature rate difference: (\S+) \(tolerance 1e-08\)",
+                             lines.pop())
+            assert m is not None
+            worst = max(float(row.split(",")[2]) for row in data_rows(out))
+            assert m[1] == f"{float(m[1]):.3e}"
+            assert float(m[1]) == pytest.approx(worst, rel=1e-3)
+        assert lines == echo + [f"wrote {tmp_path / name}" for name in written]
+
+    def test_fig3_writes_its_first_file_before_computing_its_second(self, tmp_path, monkeypatch,
+                                                                     capsys):
+        clean = tmp_path / "clean"
+        clean.mkdir()
+        assert main(["fig3", "--points", "201", "--out", str(clean / "fig3.csv")]) == 0
+        capsys.readouterr()
+        first, second = tmp_path / "fig3_beta50.csv", tmp_path / "fig3_beta53.csv"
+        first.write_text("old bytes\n")
+        second.mkdir()
+        (second / "kept.txt").write_text("kept\n")
+        calls = []
+        write_csv, sample_curve = cli.write_csv, cli.sample_curve
+
+        def writing(path, *args):
+            calls.append(("write", path.name))
+            return write_csv(path, *args)
+
+        def sampling(params, filt, *args, **kwargs):
+            calls.append(("curve", filt.mod_frequency))
+            return sample_curve(params, filt, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "write_csv", writing)
+        monkeypatch.setattr(cli, "sample_curve", sampling)
+        assert main(["fig3", "--points", "201", "--out", str(tmp_path / "fig3.csv")]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == f"wrote {first}\n"
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert calls == ([("curve", 50.0)] * 3 + [("write", first.name)]
+                         + [("curve", 53.0)] * 3 + [("write", second.name)])
+        assert first.read_bytes() == (clean / "fig3_beta50.csv").read_bytes()
+        assert [p.name for p in second.iterdir()] == ["kept.txt"]
+        assert (second / "kept.txt").read_text() == "kept\n"
+
 
 class TestExitCodes:
     def test_every_refusal_is_a_parameter_error(self):
@@ -353,10 +420,18 @@ class TestExitCodes:
          None, "the peak scan over +-1.5e+308 fs"),
         (["tau-max"], "search_halfwidth = 1e308\ngrid_step = 1\n",
          "the peak scan over +-1e+308 fs in 1 fs steps needs inf delays"),
+        # the sweep's last beta overflows, in its step product or in its sum
+        (["sweep-beta", "--beta-start", "0", "--beta-end", "1.7976931348623157e308",
+          "--beta-step", "5.992310449541053e307"], None,
+         "the sweep's last beta, 0 + 3 * 5.99231e+307 fs, overflows"),
+        (["sweep-beta", "--beta-start", "8.988465674311579e307",
+          "--beta-end", "1.7976931348623157e308", "--beta-step", "2.9961552247705264e307"], None,
+         "the sweep's last beta, 8.98847e+307 + 3 * 2.99616e+307 fs, overflows"),
     ], ids=["bad-float", "bad-choice", "unknown-flag", "no-command", "bad-command",
             "negative-exponent", "config-method", "config-no-equals", "empty-window",
             "one-point", "zero-light-speed", "zero-beta-step", "beta-below-float-spacing",
-            "overflowing-beta", "overflowing-sweep", "overflowing-window"])
+            "overflowing-beta", "overflowing-sweep", "overflowing-window",
+            "overflowing-last-beta-product", "overflowing-last-beta-sum"])
     def test_argparse_refusal_is_one_error_line(self, tmp_path, monkeypatch, capsys, argv,
                                                 config, message):
         monkeypatch.chdir(tmp_path)  # where a command that is not refused would write
