@@ -24,9 +24,9 @@ from .model import (
     characteristic_time,
     comb_rates,
     pump_phase,
+    require_cells,
     series_halfwidth,
     truncation_for,
-    window_halfcount,
     within_cap,
 )
 
@@ -219,19 +219,6 @@ def _scan_peak(params: PhysicalParams, trunc: SeriesTruncation, betas: np.ndarra
     return k[_pick(r, k * grid_step, y, betas.size)]
 
 
-def _linspace9(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """np.linspace(lo[i], hi[i], 9) in row i, value for value."""
-    delta = hi - lo
-    step = delta / 8
-    xs = np.arange(9.0) * step[:, None]
-    if not step.all():  # linspace's rule for a step that underflows to 0
-        zero = step == 0
-        xs[zero] = np.arange(9.0) / 8 * delta[zero, None]
-    xs += lo[:, None]
-    xs[:, 8] = hi
-    return xs
-
-
 def _peak_search(params: PhysicalParams, trunc: SeriesTruncation, betas: np.ndarray,
                  ns: np.ndarray, grid_step: float,
                  refine_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -242,7 +229,9 @@ def _peak_search(params: PhysicalParams, trunc: SeriesTruncation, betas: np.ndar
     scan and its bound and gap fill; each 9-point round; and the parabola
     vertex.  Each phase is one comb_rates call, the gap fill one per level
     and batch or piece, and one segment-wise lexsort for the tie rule.  A pick on the
-    window edge raises a SearchError naming the first such beta.
+    window edge raises a SearchError naming the first such beta.  A round's points are
+    np.linspace's; its (k/8)(hi - lo) + lo in every row once a step underflows to 0 differs
+    from k ((hi - lo)/8) + lo only at subnormal steps by tau = 0, which shrink together.
     """
     ks = _scan_peak(params, trunc, betas, ns, grid_step)
     edge = np.flatnonzero(np.abs(ks) == ns)
@@ -260,7 +249,7 @@ def _peak_search(params: PhysicalParams, trunc: SeriesTruncation, betas: np.ndar
     lo, hi = ks * grid_step - grid_step, ks * grid_step + grid_step
     seg, live = np.repeat(rows, 9), rows
     while live.size:
-        x = _linspace9(lo[live], hi[live])
+        x = np.linspace(lo[live], hi[live], 9, axis=1)
         y = comb_rates(params, trunc, betas[live], np.full(live.size, 9),
                        x.ravel()).reshape(x.shape)
         at = _pick(seg[:x.size], x.ravel(), y.ravel(), live.size)
@@ -318,9 +307,9 @@ def _search(params: PhysicalParams, alpha: float, betas: np.ndarray,
         over = np.flatnonzero(~within_cap(2.0 * n + 1.0, trunc))
     first = over[0] if over.size else betas.size
     pump_phase(params, betas[:first], trunc.max_order)
-    if over.size:  # raises; half a Python float, whose division cannot warn
-        window_halfcount("the peak scan", float(half[first]), grid_step, trunc,
-                         "shrink the search window")
+    if over.size:  # raises; in Python floats, whose overflow is quiet
+        require_cells(f"the peak scan over +-{float(half[first]):g} fs in {grid_step:g} fs steps",
+                      2.0 * float(n[first]) + 1.0, trunc, "shrink the search window")
     ns = n.astype(np.int64)
     found = np.empty((3, betas.size))
     for p, q in _batches(_coarse_grid(T, ns, grid_step)[1], _SCAN_ROWS):
@@ -407,34 +396,52 @@ def _find_peaks(x: np.ndarray, height: float, distance: int) -> np.ndarray:
     (start + end) // 2.  Peaks below height are dropped.  The rest are visited
     tallest first, in the order of the same np.argsort SciPy uses so that
     equal heights resolve alike, and each visited peak that is still kept
-    drops every other kept peak fewer than distance samples away.
+    drops every other kept peak fewer than distance samples away (one slice).
     """
     starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
-    ends = np.append(starts[1:], x.size) - 1
     v = x[starts]
     top = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
-    idx = (starts[top] + ends[top]) // 2
+    idx = (starts[top] + starts[top + 1] - 1) // 2
     idx = idx[x[idx] >= height]
+    near_lo, near_hi = np.searchsorted(idx, [idx - distance + 1, idx + distance])
     keep = np.ones(idx.size, dtype=bool)
-    for j in np.argsort(x[idx])[::-1]:
+    for j in np.argsort(x[idx])[::-1].tolist():
         if keep[j]:
-            keep[np.abs(idx - idx[j]) < distance] = False
+            keep[near_lo[j]:near_hi[j]] = False
             keep[j] = True
     return idx[keep]
 
 
 def _prominences(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """SciPy's peak_prominences(x, idx)[0]: the height of each peak over the
-    larger of the minima on its two sides, each side running from the peak to
-    the first strictly higher sample or the end of x."""
-    out = np.empty(idx.size)
-    for n, i in enumerate(idx):
-        higher = np.flatnonzero(~(x <= x[i]))  # a NaN ends the walk too, as in SciPy
-        k = np.searchsorted(higher, i)
-        lo = higher[k - 1] + 1 if k > 0 else 0
-        hi = higher[k] if k < higher.size else x.size
-        out[n] = x[i] - max(np.min(x[lo:i + 1]), np.min(x[i:hi]))
-    return out
+    """SciPy's peak_prominences(x, idx)[0] for peaks idx of _find_peaks: the height of
+    each peak over the larger of the minima on its two sides, each side running from
+    the peak to the first strictly higher sample or the end of x.
+
+    A NaN ends a walk too, so it counts as +inf.  In the runs of equal samples, with
+    a +inf run at each end, the walls are the runs above both neighbours.  The first
+    sample higher than a peak climbs to such a wall with no lower sample between, so
+    each side's minimum is the least value back to the nearest strictly higher wall:
+    one pass each way over the walls, with a stack of (height, least since the wall below).
+    """
+    if not idx.size:
+        return np.zeros(0)
+    z = np.concatenate(([np.inf], np.where(np.isnan(x), np.inf, x), [np.inf]))
+    starts = np.flatnonzero(np.concatenate(([True], z[1:] != z[:-1])))
+    v = z[starts]
+    walls = np.flatnonzero(np.concatenate(([True], (v[1:-1] > v[:-2]) & (v[1:-1] > v[2:]),
+                                           [True])))
+    gaps = np.minimum.reduceat(v, walls[:-1] + 1).tolist()  # the least run between two walls
+    sides = []
+    for heights, between in ((v[walls].tolist(), gaps), (v[walls[::-1]].tolist(), gaps[::-1])):
+        stack, side = [], []
+        for h, least in zip(heights, [math.inf, *between]):
+            while stack and stack[-1][0] <= h:
+                least = min(least, stack.pop()[1])
+            side.append(least)
+            stack.append((h, least))
+        sides.append(side)
+    w = np.searchsorted(walls, np.searchsorted(starts, idx + 1, side="right") - 1)
+    return x[idx] - np.maximum(np.array(sides[0])[w], np.array(sides[1][::-1])[w])
 
 
 def _uniform_step(curve: CorrelationCurve, rtol: float, what: str) -> float:

@@ -420,16 +420,6 @@ def require_curve_cells(first: float, last: float, delays: int, trunc: SeriesTru
     require_cells(f"the curve over {first:g} .. {last:g} fs", delays, trunc, "use fewer points")
 
 
-def window_halfcount(what: str, half: float, step: float, trunc: SeriesTruncation,
-                     remedy: str) -> int:
-    """The n of the symmetric grid k*step, |k| <= n = ceil(half/step), once require_cells
-    passes its 2n + 1 delays; n stays a Python float until then (half is one too), so an
-    inf is refused, not converted, and an overflow is quiet, where numpy's would warn."""
-    n = float(np.ceil(half / step))
-    require_cells(f"{what} over +-{half:g} fs in {step:g} fs steps", 2.0 * n + 1.0, trunc, remedy)
-    return int(n)
-
-
 @dataclass
 class CorrelationCurve:
     """Sampled coincidence-rate curve over a tau grid (fs)."""

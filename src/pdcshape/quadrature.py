@@ -40,9 +40,9 @@ from .model import (
     characteristic_time,
     count_rate,
     pump_phase,
+    require_cells,
     series_halfwidth,
     truncation_for,
-    window_halfcount,
 )
 
 #: a chirp-z piece holds up to max(m, _MIN_PIECE) delays for m nodes
@@ -364,9 +364,11 @@ def _comparison_halfcount(params: PhysicalParams, filt: CosinePhaseFilter,
                           trunc_tol: float) -> int:
     """n of comparison_grid's 2n + 1 delays; ParameterError if the grid is over the cap."""
     trunc = truncation_for(filt, trunc_tol)
-    return window_halfcount("the comparison grid",
-                            series_halfwidth(params, trunc, filt.mod_frequency),
-                            COMPARISON_SPACING, trunc, "use a shorter correlation time")
+    half = series_halfwidth(params, trunc, filt.mod_frequency)
+    n = float(np.ceil(half / COMPARISON_SPACING))  # an inf is refused, not converted
+    require_cells(f"the comparison grid over +-{half:g} fs in {COMPARISON_SPACING:g} fs steps",
+                  2.0 * n + 1.0, trunc, "use a shorter correlation time")
+    return int(n)
 
 
 def comparison_grid(params: PhysicalParams, filt: CosinePhaseFilter,

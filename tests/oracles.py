@@ -5,9 +5,9 @@ Bessel values from mpmath in 40-digit arithmetic, no Jacobi-Anger identity, a
 dense node-by-node trapezoid sum with no factorization and no level reuse, a
 series comb formed as one delays x orders matrix, a peak scan that evaluates
 every grid delay, a sweep that searches one beta at a time, SciPy's own
-peak finder, the earlier two-stage series cutoff and a value-by-value CSV
-number format, so agreement with the package is a real cross-check rather
-than the same algorithm twice.
+peak finder, a prominence walk over the whole curve per peak, the earlier
+two-stage series cutoff and a value-by-value CSV number format, so agreement
+with the package is a real cross-check rather than the same algorithm twice.
 """
 
 from __future__ import annotations
@@ -142,6 +142,20 @@ def scipy_peaks(x: np.ndarray, height: float, distance: int) -> tuple[np.ndarray
 
     idx, _ = find_peaks(x, height=height, distance=distance)
     return idx, peak_prominences(x, idx)[0]
+
+
+def walk_prominences(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """SciPy's peak prominences by its own walk, one whole-curve pass per peak: from
+    each peak to the first strictly higher sample (or NaN) or the end, each side's
+    minimum, and the peak less the larger of the two."""
+    out = np.empty(idx.size)
+    for n, i in enumerate(idx):
+        higher = np.flatnonzero(~(x <= x[i]))
+        k = np.searchsorted(higher, i)
+        lo = higher[k - 1] + 1 if k > 0 else 0
+        hi = higher[k] if k < higher.size else x.size
+        out[n] = x[i] - max(np.min(x[lo:i + 1]), np.min(x[i:hi]))
+    return out
 
 
 def two_stage_cutoff(filt, tol: float = 1e-12) -> int:

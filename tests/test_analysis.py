@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import uniform_grid
-from oracles import dense_peak_scan, looped_sweep, scipy_peaks
+from oracles import dense_peak_scan, looped_sweep, scipy_peaks, walk_prominences
 from pdcshape import (
     CosinePhaseFilter,
     InsufficientDataError,
@@ -566,6 +566,14 @@ def peak_inputs(draw):
     return x, height, draw(st.integers(1, 8))
 
 
+# runs of 1-4 equal samples, one in about six of them NaN or infinite: many maxima,
+# plateaus, tied walls, NaN walls and infinite peaks
+ripple = st.lists(st.tuples(st.sampled_from([0.0, 1.0, 2.0, 3.0] * 4
+                                            + [math.nan, math.inf, -math.inf]),
+                            st.integers(1, 4)), min_size=20, max_size=500).map(
+    lambda runs: np.repeat(*map(np.array, zip(*runs))))
+
+
 class TestPeakHelpers:
     """_find_peaks and _prominences give exactly what SciPy gives."""
 
@@ -573,6 +581,23 @@ class TestPeakHelpers:
     @settings(max_examples=200, deadline=None)
     def test_match_scipy(self, case):
         assert_peaks_match_scipy(*case)
+
+    @given(ripple, st.integers(1, 8))
+    @settings(deadline=None)
+    def test_prominences_match_the_walk(self, x, distance):
+        idx = _find_peaks(x, -math.inf, distance)
+        assert np.array_equal(_prominences(x, idx), walk_prominences(x, idx))
+
+    def test_long_curve_matches_scipy(self):
+        # ~20,000 peaks on 100,000 samples: a walk per peak over the whole curve
+        # takes minutes
+        rng = np.random.default_rng(11)
+        values = np.array([0.0, 1.0, 2.0, 3.0, np.nan, np.inf, -np.inf])
+        x = np.repeat(rng.choice(values, 80_000, p=[0.3, 0.3, 0.2, 0.14, 0.02, 0.02, 0.02]),
+                      rng.integers(1, 3, 80_000))[:100_000]
+        assert x.size == 100_000
+        for distance in (1, 5):
+            assert_peaks_match_scipy(x, 1.0, distance)
 
     def test_every_short_curve(self):
         for n in (1, 2, 3):

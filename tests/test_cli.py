@@ -499,12 +499,17 @@ class TestExitCodes:
         (["sweep-beta", "--beta-step", "1e-300"],
          "error: a sweep from 48 to 53 fs in 1e-300 fs steps"),
         # the default window at beta = 1e6 fs spans +-1.5e7 fs: ~6e7 delays x 31 orders
-        (["tau-max", "--beta", "1e6"], "error: the peak scan over"),
+        (["tau-max", "--beta", "1e6"],
+         "error: the peak scan over +-1.50013e+07 fs in 0.5 fs steps needs 60005179 delays x 31 "
+         "series orders = 1.86e+09 cells, over the cap of 16777216; shrink the search window\n"),
         (["curve", "--points", "100000000000000000000"], "error: points must be <="),
         # 1e6 delays x 63 series orders at depth 10
         (["curve", "--alpha", "10", "--points", "1000000"], "error: the curve over"),
         # T = 5.2e10 fs at u = 1 m/s: a 10 fs comparison grid would hold ~5e10 delays
-        (["validate", "--u", "1"], "error: the comparison grid over"),
+        (["validate", "--u", "1"],
+         "error: the comparison grid over +-2.58819e+11 fs in 10 fs steps needs 51763809023 "
+         "delays x 1 series orders = 5.18e+10 cells, over the cap of 16777216; use a shorter "
+         "correlation time\n"),
         # T = 5.2e6 fs: the depth-0 grids (5.2 M delays) fit the cap, depth 1's do not,
         # and every cell is sized before any computes
         (["validate", "--u", "1e4"], "error: the comparison grid over"),
