@@ -189,7 +189,8 @@ def _scan_peak(params: PhysicalParams, trunc: SeriesTruncation, betas: np.ndarra
 
     def fill(run, k, w, y_lo, y_hi):
         # kept gaps in beta and delay order: each is sampled at every step-th
-        # row, a batch of betas at a time, and the batch's kept sub-gaps follow
+        # row, a batch of betas at a time, and each batch's kept sub-gaps are
+        # yielded, to be filled before the next batch
         step = -(-w // 8)
         inner = -(-w // step) - 1  # rows k + step, k + 2 step, ... short of k + w
         fills = np.bincount(run, weights=inner, minlength=betas.size).astype(np.int64)
@@ -208,13 +209,22 @@ def _scan_peak(params: PhysicalParams, trunc: SeriesTruncation, betas: np.ndarra
                            np.insert(y[np.repeat(split, inner[a:b])], at,
                                      np.column_stack((y_lo[gs], y_hi[gs])).ravel()))
                 del y  # the descent holds its own batches' rows, not these
-                fill(*sub)
+                yield sub
 
-    # the coarse scan: segment -n .. n of each beta, every point sampled
+    # the coarse scan: segment -n .. n of each beta, every point sampled; then
+    # its gaps, level by level, from a work list of the levels under way (a
+    # recursive fill would hold itself through its closure cell, a reference
+    # cycle that keeps the scan's candidates until the cyclic GC runs)
     s, counts = _coarse_grid(T, ns, grid_step)
     for p, q in _batches(counts, _SCAN_ROWS):
         coarse = (np.arange(p, q), -ns[p:q], 2 * ns[p:q], s[p:q])
-        fill(*kept(*coarse, sample(*coarse, 0, counts[p:q])))
+        levels = [fill(*kept(*coarse, sample(*coarse, 0, counts[p:q])))]
+        while levels:
+            sub = next(levels[-1], None)
+            if sub is None:
+                levels.pop()
+            else:
+                levels.append(fill(*sub))
     k, y, r = (np.concatenate(c) for c in zip(*cand))
     return k[_pick(r, k * grid_step, y, betas.size)]
 

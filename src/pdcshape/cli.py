@@ -22,7 +22,7 @@ from .quadrature import (
     VALIDATION_DEPTHS,
     VALIDATION_MOD_FREQUENCIES,
     _comparison_halfcount,
-    compare_methods,
+    compare_cells,
     comparison_grid,
 )
 
@@ -152,8 +152,9 @@ def _outputs(cfg: RunConfig, command: str, meta: dict, out: Path):
         # over-cap cell is refused at once
         for filt in cells:
             _comparison_halfcount(cfg.params, filt, cfg.trunc_tol)
-        reps = [compare_methods(cfg.params, filt, comparison_grid(cfg.params, filt, cfg.trunc_tol),
-                                cfg.quad, cfg.trunc_tol) for filt in cells]
+        reps = compare_cells(cfg.params, cells,
+                             lambda filt: comparison_grid(cfg.params, filt, cfg.trunc_tol),
+                             cfg.quad, cfg.trunc_tol)
         yield out, meta, [("alpha", np.array([filt.depth for filt in cells])),
                           ("beta_fs", np.array([filt.mod_frequency for filt in cells])),
                           ("max_abs_diff", np.array([rep.max_abs_diff for rep in reps])),

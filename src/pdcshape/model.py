@@ -355,8 +355,10 @@ def amplitude_comb(params: PhysicalParams, trunc: SeriesTruncation, betas, count
         coeff = trunc.coefficients * np.exp(1j * trunc.orders * thetas[r0:run[j - 1] + 1, None])
         with np.errstate(over="ignore"):
             centres = (first[i:j, None] + np.arange(cols)) * b[i:j, None]
-            if j - i > 1:  # one block's row of centres broadcasts; several blocks' repeat
-                centres = np.repeat(centres, stop[i:j] - start[i:j], axis=0)
+            if j - i > 1:  # one block's row of centres broadcasts; with several, each
+                # delay's block row is copied into g, so they need no array of their own
+                centres = np.take(centres, np.repeat(np.arange(j - i), stop[i:j] - start[i:j]),
+                                  axis=0, out=g, mode="clip")
             np.subtract(taus[lo:hi, None], centres, out=g)
             g /= T
             np.multiply(g, g, out=g)

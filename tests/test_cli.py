@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdcshape import (ConvergenceError, CosinePhaseFilter, ParameterError, cli, csvio, errors,
-                      model, rate_grid)
+from pdcshape import (DEFAULT_PARAMS, ConvergenceError, CosinePhaseFilter, ParameterError, cli,
+                      csvio, errors, model, quadrature, rate_grid)
 from pdcshape.cli import _PRESETS, main
 from pdcshape.config import DEFAULTS, read_config_file, resolve_config
-from pdcshape.quadrature import DeviationReport
+from pdcshape.quadrature import DEFAULT_SETTINGS, DeviationReport, _baseline_raw
 
 from conftest import written_csv
 from oracles import format_number
@@ -484,8 +484,9 @@ class TestExitCodes:
                      "--out", str(tmp_path / "y.csv")]) == 0
 
     def test_validation_failure_exit_code(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("pdcshape.cli.compare_methods",
-                            lambda *a, **k: DeviationReport(1.0, 0.0))
+        monkeypatch.setattr("pdcshape.cli.compare_cells",
+                            lambda params, filters, *a, **k: [DeviationReport(1.0, 0.0)
+                                                              for _ in filters])
         assert main(["validate", "--out", str(tmp_path / "v.csv")]) == 3
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -688,6 +689,50 @@ class TestExitCodes:
         assert main(["validate", "--config", str(f), "--out", str(tmp_path / "v.csv")]) == 0
         worst = re.search(r"rate difference: (\S+)", capsys.readouterr().out).group(1)
         assert float(worst) <= 1e-12
+
+    @pytest.mark.parametrize("config,line", [
+        # a tolerance below round-off: the first cell's halving check fails
+        ("quad_rel_tol = 1e-17\nquad_max_points = 16777216\n",
+         r"no convergence at 2048 intervals \(the halving check differs by \S+, not below "
+         r"1e-17\): last estimates \S+ vs \S+ at tau=120\.0 fs"),
+        # the same first cell, though the last one (depth 10 at 1000 fs) needs more
+        # than the 2,048-interval budget: every cell is sized before any computes,
+        # and that refusal waits for its own cell
+        ("quad_rel_tol = 1e-17\nquad_max_points = 2048\n",
+         r"no convergence at 2048 intervals \(the halving check differs by \S+, not below "
+         r"1e-17\): last estimates \S+ vs \S+ at tau=120\.0 fs"),
+        # only the last cell, the one the strip bound sizes past 2,048 intervals, fails
+        ("quad_rel_tol = 1e-15\nquad_max_points = 8192\n",
+         r"no convergence at 2052 intervals \(the halving check differs by \S+, not below "
+         r"1e-15\): last estimates \S+ vs \S+ at tau=-22060\.0 fs"),
+    ], ids=["round-off", "round-off-before-budget", "last-cell"])
+    def test_validate_reports_the_first_failing_cell(self, tmp_path, capsys, config, line):
+        f = tmp_path / "tight.cfg"
+        f.write_text(config)
+        assert main(["validate", "--config", str(f), "--out", str(tmp_path / "v.csv")]) == 5
+        assert re.fullmatch(f"error: {line}\n", capsys.readouterr().err)
+
+    def test_validate_shares_its_set_up_within_one_call(self, tmp_path, monkeypatch, capsys):
+        # a depth's cells share comb calls of up to 8,192 delays (6 calls for the 30
+        # cells), and cells of one node set one chirp table; a second validate counts
+        # the same again, as nothing is kept between calls
+        _baseline_raw(DEFAULT_PARAMS, DEFAULT_SETTINGS)  # memoised, with a table of its own
+        counts = {"comb_rates": 0, "_chirp": 0}
+        for name in counts:
+            original = getattr(quadrature, name)
+
+            def counting(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(quadrature, name, counting)
+        seen = []
+        for k in range(2):
+            assert main(["validate", "--out", str(tmp_path / f"v{k}.csv")]) == 0
+            seen.append(dict(counts))
+            counts.update(comb_rates=0, _chirp=0)
+        assert seen == [{"comb_rates": 6, "_chirp": 1}] * 2
+        assert (tmp_path / "v0.csv").read_bytes() == (tmp_path / "v1.csv").read_bytes()
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("lam", ["1e-300", "1e-12"])

@@ -11,6 +11,7 @@ from pdcshape import (
     ConvergenceError,
     CosinePhaseFilter,
     ParameterError,
+    PhysicalParams,
     QuadratureSettings,
     amplitude_quadrature,
     compare_methods,
@@ -28,6 +29,7 @@ from pdcshape.quadrature import (
     VALIDATION_MOD_FREQUENCIES,
     _amplitude_grid,
     _baseline_raw,
+    compare_cells,
     nu_halfwidth,
 )
 
@@ -88,6 +90,55 @@ class TestCompareMethods:
         assert grid[0] <= -(m * 300.0 + 5 * T) + 10.0
         assert np.all(np.diff(grid) == 10.0)
         assert 0.0 in grid
+
+
+class TestLockstep:
+    """compare_cells: validate's cells in lockstep, each as compare_methods gives it alone."""
+
+    CELLS = [CosinePhaseFilter(a, b)
+             for a in VALIDATION_DEPTHS for b in VALIDATION_MOD_FREQUENCIES]
+
+    # under initial_points = 64 the strip bound sizes each cell, which gives 11 node
+    # sets; 3 folds widen to the one window sqrt(ln(8 / rel_tolerance)) = 5.24 folds
+    @pytest.mark.parametrize("settings,setups", [
+        (QuadratureSettings(initial_points=64), 11),
+        (QuadratureSettings(halfwidth_folds=3.0), 1),
+    ], ids=["initial-points-64", "folds-3"])
+    def test_each_cell_as_alone(self, params, monkeypatch, settings, setups):
+        _baseline_raw(params, settings)  # memoised, with a set-up of its own
+        built = []
+        original = quadrature._chirp_z
+
+        def counting(*args):
+            built.append(args[:3])
+            return original(*args)
+
+        monkeypatch.setattr(quadrature, "_chirp_z", counting)
+        reports = compare_cells(params, self.CELLS, lambda f: comparison_grid(params, f),
+                                settings)
+        assert len(set(built)) == len(built) == setups
+        alone = [compare_methods(params, f, comparison_grid(params, f), settings)
+                 for f in self.CELLS]
+        assert ([(r.max_abs_diff, r.tau_at_max) for r in reports]
+                == [(r.max_abs_diff, r.tau_at_max) for r in alone])
+
+    def test_refusals_come_in_cell_order(self):
+        # at omega0 = 6.3e306 rad/fs the pump twist of beta = 300 fs overflows, and the
+        # comb refuses the batch of all three depth-0 cells; the second cell's grid is
+        # off its lattice, which its quadrature refuses first
+        params = PhysicalParams(pump_wavelength=1e-12, group_velocity=2e8, beam_param=100.0,
+                                emission_angle=15.0, light_speed=1e300)
+        cells = [CosinePhaseFilter(0.0, b) for b in (0.0, 25.0, 300.0)]
+        grids = {0.0: [-10.0, 0.0, 10.0], 25.0: [0.0, 1.0, 3.0], 300.0: [0.0]}
+
+        def grid(filt):
+            return grids[filt.mod_frequency]
+
+        with pytest.raises(ParameterError, match="uniform delay grid"):
+            compare_cells(params, cells, grid)
+        grids[25.0] = [0.0]
+        with pytest.raises(ParameterError, match="pump twist .* beta = 300 fs"):
+            compare_cells(params, cells, grid)
 
 
 class TestFactorizedSum:
